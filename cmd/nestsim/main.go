@@ -100,6 +100,7 @@ func main() {
 		PDA:           pda.DefaultOptions(),
 		MaxNests:      9,
 		Distributed:   *distrib,
+		Genesis:       sched,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -113,16 +114,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	si := 0
 	reported := 0
 	interrupted := false
 	for step := 0; step < *steps && !interrupted; step++ {
-		for si < len(sched) && sched[si].AtStep == step {
-			if err := m.InjectCell(sched[si].Cell); err != nil {
-				log.Fatal(err)
-			}
-			si++
-		}
 		if err := pipe.RunContext(ctx, 1); err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Printf("\ninterrupted at step %d of %d\n", pipe.StepCount(), *steps)

@@ -42,22 +42,13 @@ func main() {
 		Interval:      5, // PDA every 10 simulated minutes
 		PDA:           nestdiff.DefaultPDAOptions(),
 		MaxNests:      9,
+		Genesis:       schedule, // storm births, injected as the run reaches them
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	si := 0
-	for step := 0; step < mc.Steps; step++ {
-		for si < len(schedule) && schedule[si].AtStep == step {
-			if err := model.InjectCell(schedule[si].Cell); err != nil {
-				log.Fatal(err)
-			}
-			si++
-		}
-		if err := pipe.Run(1); err != nil {
-			log.Fatal(err)
-		}
+	if err := pipe.Run(mc.Steps); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("simulated %.0f hours; %d adaptation points\n",

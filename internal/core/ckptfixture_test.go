@@ -2,16 +2,11 @@ package core
 
 import (
 	"bytes"
-	"flag"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"nestdiff/internal/geom"
 )
-
-var updateCkptFixture = flag.Bool("update-ckpt-fixture", false,
-	"rewrite testdata/v1-diffusion-60step.ckpt from the current v1 encoder")
 
 const (
 	v1FixturePath  = "testdata/v1-diffusion-60step.ckpt"
@@ -21,33 +16,14 @@ const (
 // TestV1CheckpointFixtureCrossVersionRestore pins compatibility with
 // checkpoints written before the v2 envelope existed: a committed v1 gob
 // file must validate, restore, re-save through the v2 writer, and the two
-// restored pipelines must continue bit-identically. Regenerate the fixture
-// with:
-//
-//	go test ./internal/core -run TestV1CheckpointFixture -update-ckpt-fixture
+// restored pipelines must continue bit-identically. The fixture was
+// written by the retired v1 encoder and is never regenerated: it stands
+// for checkpoint files already on disk.
 func TestV1CheckpointFixtureCrossVersionRestore(t *testing.T) {
 	g := geom.NewGrid(8, 6)
-	if *updateCkptFixture {
-		p := checkpointPipeline(t, g, Diffusion, false)
-		if err := p.Run(v1FixtureSteps); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := p.saveStateV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(v1FixturePath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(v1FixturePath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", v1FixturePath, buf.Len())
-	}
-
 	data, err := os.ReadFile(v1FixturePath)
 	if err != nil {
-		t.Fatalf("committed v1 fixture missing (regenerate with -update-ckpt-fixture): %v", err)
+		t.Fatalf("committed v1 fixture missing: %v", err)
 	}
 	if data[4] != ckptEnvelopeVersion {
 		t.Fatalf("fixture has envelope version %d, want v1 (%d)", data[4], ckptEnvelopeVersion)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"nestdiff/internal/geom"
@@ -23,9 +24,8 @@ func cutBlob(t *testing.T, cw *CheckpointWriter, p *Pipeline) ([]byte, bool) {
 // runDeltaChainRoundTrip cuts a full base at step k, then delta
 // checkpoints every interval steps, restores the assembled chain, and
 // verifies the resumed run reproduces the uninterrupted run's adaptation
-// events and final nest set exactly — both delta flavors must be
-// bit-identical to the full-save path.
-func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
+// events and final nest set exactly — bit-identical to the full-save path.
+func runDeltaChainRoundTrip(t *testing.T, distributed bool) {
 	t.Helper()
 	const k, segs, interval, total = 60, 4, 20, 180
 	const cut = k + segs*interval
@@ -37,7 +37,7 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 	}
 
 	chk := checkpointPipeline(t, g, Diffusion, distributed)
-	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 64, FieldDeltas: fieldDeltas})
+	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 64})
 	if err := chk.Run(k); err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,8 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 	eventsAtCut := len(chk.Events())
 
 	// Replay deltas must be materially smaller than the base they extend —
-	// that is the point of the chain. Field-diff deltas of advected fields
-	// are not (every word changes), which is why replay is the default.
-	if avg := deltaBytes / segs; !fieldDeltas && avg >= len(base)/20 {
+	// that is the point of the chain.
+	if avg := deltaBytes / segs; avg >= len(base)/20 {
 		t.Fatalf("average replay delta blob %d bytes, want well under 1/20 of the %d-byte base", avg, len(base))
 	}
 
@@ -127,19 +126,11 @@ func runDeltaChainRoundTrip(t *testing.T, distributed, fieldDeltas bool) {
 }
 
 func TestCheckpointDeltaChainRoundTripSerial(t *testing.T) {
-	runDeltaChainRoundTrip(t, false, false)
+	runDeltaChainRoundTrip(t, false)
 }
 
 func TestCheckpointDeltaChainRoundTripDistributed(t *testing.T) {
-	runDeltaChainRoundTrip(t, true, false)
-}
-
-func TestCheckpointFieldDeltaChainRoundTripSerial(t *testing.T) {
-	runDeltaChainRoundTrip(t, false, true)
-}
-
-func TestCheckpointFieldDeltaChainRoundTripDistributed(t *testing.T) {
-	runDeltaChainRoundTrip(t, true, true)
+	runDeltaChainRoundTrip(t, true)
 }
 
 // TestCheckpointWriterMaxDeltasForcesBase: the chain length bound. After
@@ -300,6 +291,71 @@ func TestRestoreDeltaChainBrokenTailFallsBack(t *testing.T) {
 		net, model, oracle := testEnv(t, g)
 		if _, err := RestorePipeline(bytes.NewReader(data), net, model, oracle); err == nil {
 			t.Fatal("torn base restored")
+		}
+	})
+}
+
+// FuzzRestorePipeline feeds arbitrary bytes through ValidateCheckpoint and
+// RestorePipeline: neither may panic, whatever the input. Seeds are the
+// committed v1 fixture, a lone v2 base, and a base plus two replay deltas;
+// any cut of that chain inside its deltas must restore the longest valid
+// prefix.
+func FuzzRestorePipeline(f *testing.F) {
+	g := geom.NewGrid(8, 6)
+	fixture, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := checkpointPipeline(f, g, Diffusion, false)
+	cw := NewCheckpointWriter(CheckpointWriterOptions{MaxDeltas: 64})
+	var chain []byte
+	ends := make([]int, 3) // chain length after the base, d1 and d2
+	for i := range ends {
+		steps := 5
+		if i == 0 {
+			steps = 60
+		}
+		if err := p.Run(steps); err != nil {
+			f.Fatal(err)
+		}
+		blob, _, err := cw.Encode(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		chain = append(chain, blob...)
+		ends[i] = len(chain)
+	}
+	f.Add(fixture)
+	f.Add(chain[:ends[0]])
+	f.Add(chain)
+
+	net, model, oracle := testEnv(f, g)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		verr := ValidateCheckpoint(data)
+		restored, rerr := RestorePipeline(bytes.NewReader(data), net, model, oracle)
+		if len(data) <= ends[0] || !bytes.HasPrefix(chain, data) {
+			return
+		}
+		// A prefix of the seed chain that keeps its base: the restore
+		// lands on the last delta wholly inside the cut.
+		want := 60
+		for i, end := range ends[1:] {
+			if len(data) >= end {
+				want = 60 + 5*(i+1)
+			}
+		}
+		if rerr != nil {
+			t.Fatalf("chain cut to %d of %d bytes did not restore: %v", len(data), len(chain), rerr)
+		}
+		if restored.StepCount() != want {
+			t.Fatalf("chain cut to %d bytes restored at step %d, want %d", len(data), restored.StepCount(), want)
+		}
+		whole := len(data) == ends[1] || len(data) == ends[2]
+		if whole && verr != nil {
+			t.Fatalf("whole-blob prefix failed validation: %v", verr)
+		}
+		if !whole && !errors.Is(verr, ErrDeltaChainBroken) {
+			t.Fatalf("torn delta tail: ValidateCheckpoint = %v, want ErrDeltaChainBroken", verr)
 		}
 	})
 }

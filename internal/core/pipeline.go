@@ -51,6 +51,12 @@ type PipelineConfig struct {
 	// sequential stepping). Zero means runtime.GOMAXPROCS(0); one forces
 	// sequential stepping.
 	NestWorkers int
+	// Genesis is the scripted storm-birth schedule, sorted by AtStep: each
+	// cell is injected into the parent model at the top of the step that
+	// starts at its AtStep. It travels with the pipeline's checkpoints, so
+	// a restore that replays steps re-injects exactly what the live run
+	// did. Nil means no scripted genesis.
+	Genesis []scenario.TimedCell
 }
 
 // DefaultPipelineConfig returns a laptop-scale configuration: a 16×16
@@ -94,6 +100,8 @@ type Pipeline struct {
 	set    scenario.Set
 	nextID int
 	events []AdaptationEvent
+	// gi is the genesis cursor: cfg.Genesis[:gi] is behind the model.
+	gi     int
 	faults *faults.Plan
 	tracer *obs.Tracer
 	snaps  SnapshotSink
@@ -115,6 +123,9 @@ func NewPipeline(m *wrfsim.Model, tr *Tracker, cfg PipelineConfig) (*Pipeline, e
 	if cfg.AnalysisRanks < 1 || cfg.AnalysisRanks > cfg.WRFGrid.Size() {
 		return nil, fmt.Errorf("core: %d analysis ranks for %d WRF ranks",
 			cfg.AnalysisRanks, cfg.WRFGrid.Size())
+	}
+	if !slices.IsSortedFunc(cfg.Genesis, func(a, b scenario.TimedCell) int { return a.AtStep - b.AtStep }) {
+		return nil, fmt.Errorf("core: genesis schedule is not sorted by step")
 	}
 	net, err := topology.NewSwitched(cfg.AnalysisRanks, 8, topology.DefaultSwitchedParams())
 	if err != nil {
@@ -214,15 +225,18 @@ type SnapshotSink interface {
 // check per step — the sink is runtime wiring, never checkpointed.
 func (p *Pipeline) SetSnapshotSink(s SnapshotSink) { p.snaps = s }
 
-// Step advances the pipeline by exactly one parent step — the parent
-// model, every live nest, and (at analysis intervals) one PDA invocation
-// with its reallocation. It is the incremental building block that Run,
+// Step advances the pipeline by exactly one parent step — the scheduled
+// genesis, the parent model, every live nest, and (at analysis intervals)
+// one PDA invocation with its reallocation. It is the incremental building block that Run,
 // RunContext and the job scheduler are built on.
 func (p *Pipeline) Step() error {
 	if p.faults != nil {
 		step := p.model.StepCount() + 1
 		p.faults.SetStep(step)
 		p.faults.BeforeStep(step) // may stall (slow step) or panic (injected worker crash)
+	}
+	if err := p.injectGenesis(); err != nil {
+		return err
 	}
 	tr := p.tracer
 	var t0, stepStart time.Time
@@ -253,6 +267,25 @@ func (p *Pipeline) Step() error {
 	}
 	if p.snaps != nil {
 		p.snaps.PublishStep(p)
+	}
+	return nil
+}
+
+// injectGenesis injects the scheduled cells due at the start of the
+// upcoming step. Cells scheduled before the current step are skipped: a
+// restored pipeline starts with the cursor at zero, and its model already
+// holds every cell born before the checkpoint.
+func (p *Pipeline) injectGenesis() error {
+	at := p.model.StepCount()
+	g := p.cfg.Genesis
+	for p.gi < len(g) && g[p.gi].AtStep < at {
+		p.gi++
+	}
+	for p.gi < len(g) && g[p.gi].AtStep == at {
+		if err := p.model.InjectCell(g[p.gi].Cell); err != nil {
+			return err
+		}
+		p.gi++
 	}
 	return nil
 }

@@ -59,8 +59,49 @@ func TestNewPipelineValidation(t *testing.T) {
 	if _, err := NewPipeline(m, tr, bad); err == nil {
 		t.Error("too many analysis ranks accepted")
 	}
+	bad = DefaultPipelineConfig()
+	cell := wrfsim.Cell{X: 20, Y: 18, Radius: 4, Peak: 2, Life: 3600}
+	bad.Genesis = []scenario.TimedCell{{AtStep: 5, Cell: cell}, {AtStep: 2, Cell: cell}}
+	if _, err := NewPipeline(m, tr, bad); err == nil {
+		t.Error("unsorted genesis schedule accepted")
+	}
 	if _, err := NewPipeline(nil, tr, DefaultPipelineConfig()); err == nil {
 		t.Error("nil model accepted")
+	}
+}
+
+// TestPipelineInjectsGenesisOnSchedule: a scheduled cell is born at the
+// top of the step that starts at its AtStep — the service's injection
+// point before genesis moved into the pipeline.
+func TestPipelineInjectsGenesisOnSchedule(t *testing.T) {
+	wcfg := wrfsim.DefaultConfig()
+	wcfg.NX, wcfg.NY = 96, 72
+	wcfg.SpawnRate = 0
+	m, err := wrfsim.NewModel(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(m, newTestTracker(t, geom.NewGrid(16, 16), Diffusion), PipelineConfig{
+		WRFGrid:       geom.NewGrid(8, 6),
+		AnalysisRanks: 6,
+		Interval:      5,
+		PDA:           pda.DefaultOptions(),
+		Genesis: []scenario.TimedCell{
+			{AtStep: 0, Cell: wrfsim.Cell{X: 20, Y: 18, Radius: 4, Peak: 2, Life: 3600}},
+			{AtStep: 3, Cell: wrfsim.Cell{X: 70, Y: 50, Radius: 4, Peak: 2, Life: 3600}},
+			{AtStep: 3, Cell: wrfsim.Cell{X: 20, Y: 55, Radius: 4, Peak: 2, Life: 3600}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, want := range []int{1, 1, 1, 3, 3} {
+		if err := p.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(m.Cells()); got != want {
+			t.Fatalf("after step %d: %d live cells, want %d", step+1, got, want)
+		}
 	}
 }
 

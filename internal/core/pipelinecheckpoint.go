@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"nestdiff/internal/field"
 	"nestdiff/internal/geom"
@@ -21,9 +21,9 @@ import (
 // envelope. It nests the two existing checkpoint formats — the weather
 // model's (wrfsim/checkpoint.go) and the tracker's (checkpoint.go) — and
 // adds the pipeline-only state: the live nest fields, the active set, the
-// ID counter and the recorded events. v1 is kept as a restore path (and as
-// the benchmark baseline); new checkpoints are written in the v2 binary
-// format (ckptcodec.go, ckptwriter.go).
+// ID counter and the recorded events. v1 is kept as a restore path only;
+// checkpoints are written in the v2 binary format (ckptcodec.go,
+// ckptwriter.go).
 type pipelineState struct {
 	Version int
 	Cfg     PipelineConfig
@@ -88,75 +88,14 @@ func (p *Pipeline) SaveState(w io.Writer) error {
 	return nil
 }
 
-// saveStateV1 writes the legacy v1 envelope (gob pipelineState). It is
-// retained as the baseline for the checkpoint benchmarks and to generate
-// v1 fixtures for the cross-version restore tests; the v1 *read* path is
-// what guarantees old checkpoint files keep restoring.
-func (p *Pipeline) saveStateV1(w io.Writer) error {
-	var model bytes.Buffer
-	if err := p.model.Save(&model); err != nil {
-		return err
-	}
-	var tracker bytes.Buffer
-	if err := p.tracker.SaveState(&tracker); err != nil {
-		return err
-	}
-	st := pipelineState{
-		Version: pipelineStateVersion,
-		Cfg:     p.cfg,
-		Model:   model.Bytes(),
-		Tracker: tracker.Bytes(),
-		Set:     append(scenario.Set(nil), p.set...),
-		NextID:  p.nextID,
-		Events:  append([]AdaptationEvent(nil), p.events...),
-	}
-	if p.cfg.Distributed {
-		for id, n := range p.dnests {
-			fine := n.Gather()
-			st.Nests = append(st.Nests, nestState{
-				ID: id, Region: n.Region,
-				NX: fine.NX, NY: fine.NY,
-				Data:  append([]float64(nil), fine.Data...),
-				Steps: n.StepCount(),
-				Procs: n.Procs(),
-			})
-		}
-	} else {
-		for id, n := range p.nests {
-			q := n.QCloud()
-			st.Nests = append(st.Nests, nestState{
-				ID: id, Region: n.Region,
-				NX: q.NX, NY: q.NY,
-				Data:  append([]float64(nil), q.Data...),
-				Steps: n.StepCount(),
-			})
-		}
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
-	}
-	var hdr [ckptHeaderLen]byte
-	copy(hdr[:4], ckptMagic[:])
-	hdr[4] = ckptEnvelopeVersion
-	binary.LittleEndian.PutUint64(hdr[5:13], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(payload.Bytes(), ckptCRC))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("core: save pipeline state: %w", err)
-	}
-	return nil
-}
-
 // ValidateCheckpoint checks that data is a complete, uncorrupted pipeline
 // checkpoint without decoding any payload. For a v1 envelope that means
 // magic, version, exact payload length and CRC-32C; for a v2 chain it
 // walks every blob — header, payload CRC, record framing with per-record
-// CRCs, and base→delta link continuity. It is the cheap integrity test the
-// scheduler's startup recovery scan runs over every *.ckpt file before
-// re-registering the job.
+// CRCs, record kinds and lengths, and base→delta link continuity — the
+// same walk RestorePipeline makes before it decodes. It is the cheap
+// integrity test the scheduler's startup recovery scan runs over every
+// *.ckpt file before re-registering the job.
 //
 // A v2 chain whose base is intact but whose delta tail is torn, corrupt or
 // discontinuous returns an error matching ErrDeltaChainBroken (via
@@ -192,48 +131,122 @@ func ValidateCheckpoint(data []byte) error {
 }
 
 // validateChainV2 walks a v2 blob chain structurally: blob headers and
-// CRCs, record framing, and link continuity. Errors on the base blob are
-// fatal; errors after an intact base wrap ErrDeltaChainBroken.
+// CRCs, record framing and shape, and link continuity.
 func validateChainV2(data []byte) error {
+	return walkChain(data, func(bool, []record) error { return nil })
+}
+
+// walkChain validates the blobs of a v2 chain in order — the base, then
+// each delta that continues its predecessor — and hands each blob's
+// records to visit. Damage to the base (or a visit error on it) is fatal;
+// damage from the first delta on stops the walk with an error wrapping
+// ErrDeltaChainBroken, every blob before it having been visited.
+func walkChain(data []byte, visit func(delta bool, recs []record) error) error {
+	if len(data) == 0 {
+		return fmt.Errorf("core: load pipeline state: empty checkpoint chain")
+	}
 	var recs []record
-	off := 0
-	first := true
 	var prevSeq, prevCRC uint32
-	for off < len(data) {
+	for off := 0; off < len(data); {
 		h, payload, size, err := parseBlob(data[off:])
-		if err != nil {
-			if first {
-				return err
-			}
-			return fmt.Errorf("%w: blob %d: %v", ErrDeltaChainBroken, prevSeq+1, err)
+		switch {
+		case err != nil:
+		case off == 0 && h.delta:
+			err = fmt.Errorf("core: load pipeline state: chain starts with a delta blob (missing base)")
+		case off == 0 && (h.seq != 0 || h.link != 0):
+			err = fmt.Errorf("core: load pipeline state: base blob with nonzero chain links")
+		case off > 0 && (!h.delta || h.seq != prevSeq+1 || h.link != prevCRC):
+			err = fmt.Errorf("core: load pipeline state: blob %d does not continue blob %d", h.seq, prevSeq)
+		default:
+			recs, err = splitRecords(payload, recs[:0])
 		}
-		if h.delta {
-			if first {
-				return fmt.Errorf("core: validate checkpoint: chain starts with a delta blob (missing base)")
-			}
-			if h.seq != prevSeq+1 || h.link != prevCRC {
-				return fmt.Errorf("%w: delta %d does not continue blob %d", ErrDeltaChainBroken, h.seq, prevSeq)
-			}
-		} else if h.seq != 0 || h.link != 0 {
-			err := fmt.Errorf("core: validate checkpoint: base blob with nonzero chain links")
-			if first {
-				return err
-			}
-			return fmt.Errorf("%w: %v", ErrDeltaChainBroken, err)
+		if err == nil {
+			err = checkRecords(recs, h.delta)
 		}
-		recs, err = splitRecords(payload, recs[:0])
-		if err == nil && (len(recs) == 0 || recs[0].kind != recMeta) {
-			err = fmt.Errorf("core: load pipeline state: blob does not start with a metadata record")
+		if err == nil {
+			err = visit(h.delta, recs)
 		}
 		if err != nil {
-			if first {
+			if off == 0 {
 				return err
 			}
-			return fmt.Errorf("%w: %v", ErrDeltaChainBroken, err)
+			return fmt.Errorf("%w: after blob %d: %v", ErrDeltaChainBroken, prevSeq, err)
 		}
 		prevSeq, prevCRC = h.seq, h.crc
-		first = false
 		off += size
+	}
+	return nil
+}
+
+// fixed layout sizes of the binary record prefixes.
+const (
+	nestFullPrefix = 4 + 16 + 4 + 1 + 16 + 8 // id, region, steps, flags, procs, nx, ny
+	fieldDimPrefix = 4 + 4                   // nx, ny
+	replayPrefix   = 4 + 4                   // target step, model CRC
+)
+
+// checkRecords validates the kinds and lengths of one blob's records
+// without decoding any field: a base is the metadata record, one parent
+// field and complete nest records; a delta is the metadata record and one
+// replay directive. Any other kind, including those of the retired
+// field-diff deltas, is rejected.
+func checkRecords(recs []record, delta bool) error {
+	if len(recs) == 0 || recs[0].kind != recMeta {
+		return fmt.Errorf("core: load pipeline state: blob does not start with a metadata record")
+	}
+	if delta {
+		if len(recs) != 2 || recs[1].kind != recReplay {
+			return fmt.Errorf("core: load pipeline state: delta blob is not a single replay directive")
+		}
+		b := recs[1].payload
+		if len(b) < replayPrefix+1 {
+			return fmt.Errorf("core: load pipeline state: short replay directive")
+		}
+		n, used := binary.Uvarint(b[replayPrefix:])
+		if used <= 0 || n > 1<<16 {
+			return fmt.Errorf("core: load pipeline state: implausible replay nest count")
+		}
+		if len(b) != replayPrefix+used+8*int(n) {
+			return fmt.Errorf("core: load pipeline state: replay directive has %d bytes for %d nests", len(b), n)
+		}
+		return nil
+	}
+	models := 0
+	for _, rec := range recs[1:] {
+		b := rec.payload
+		switch rec.kind {
+		case recModelRaw:
+			if len(b) < fieldDimPrefix {
+				return fmt.Errorf("core: load pipeline state: short model record")
+			}
+			nx := int(binary.LittleEndian.Uint32(b[0:4]))
+			ny := int(binary.LittleEndian.Uint32(b[4:8]))
+			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
+				return fmt.Errorf("core: load pipeline state: implausible model domain %dx%d", nx, ny)
+			}
+			if len(b) != fieldDimPrefix+8*nx*ny {
+				return fmt.Errorf("core: load pipeline state: model record has %d bytes for %dx%d", len(b), nx, ny)
+			}
+			models++
+		case recNestFull:
+			if len(b) < nestFullPrefix {
+				return fmt.Errorf("core: load pipeline state: short nest record")
+			}
+			nx := int(binary.LittleEndian.Uint32(b[41:45]))
+			ny := int(binary.LittleEndian.Uint32(b[45:49]))
+			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
+				return fmt.Errorf("core: load pipeline state: implausible nest domain %dx%d", nx, ny)
+			}
+			if len(b) != nestFullPrefix+8*nx*ny {
+				id := binary.LittleEndian.Uint32(b[0:4])
+				return fmt.Errorf("core: nest %d field has %d samples for %dx%d", id, (len(b)-nestFullPrefix)/8, nx, ny)
+			}
+		default:
+			return fmt.Errorf("core: load pipeline state: unknown record kind %d in a base blob", rec.kind)
+		}
+	}
+	if models != 1 {
+		return fmt.Errorf("core: load pipeline state: checkpoint base has %d model fields, want 1", models)
 	}
 	return nil
 }
@@ -300,9 +313,7 @@ func restorePipelineV1(data []byte, net topology.Network, model *perfmodel.ExecM
 	if err != nil {
 		return nil, err
 	}
-	p.set = st.Set
-	p.nextID = st.NextID
-	p.events = st.Events
+	p.restoreHistory(st.Set, st.NextID, st.Events)
 	for _, ns := range st.Nests {
 		fine := &field.Field{NX: ns.NX, NY: ns.NY, Data: ns.Data}
 		if len(ns.Data) != ns.NX*ns.NY {
@@ -325,14 +336,33 @@ func restorePipelineV1(data []byte, net topology.Network, model *perfmodel.ExecM
 	return p, nil
 }
 
-// chainNest is the accumulated restore-time state of one nest.
+// restoreHistory installs the decoded active set, ID counter and events.
+// gob decodes an empty slice as nil, but every set the pipeline adopts at
+// an adaptation point is non-nil (MatchROIs always allocates one), so
+// empty sets are restored as empty, not nil: a restored run's events and
+// active set then compare and serialize exactly like the uninterrupted
+// run's.
+func (p *Pipeline) restoreHistory(set scenario.Set, nextID int, events []AdaptationEvent) {
+	if set == nil && len(events) > 0 {
+		set = scenario.Set{}
+	}
+	p.set = set
+	p.nextID = nextID
+	p.events = events
+	for i := range p.events {
+		if p.events[i].Set == nil {
+			p.events[i].Set = scenario.Set{}
+		}
+	}
+}
+
+// chainNest is one nest decoded from a base blob.
 type chainNest struct {
+	id     int
 	region geom.Rect
 	procs  geom.Rect
-	nx, ny int
 	steps  int
-	dist   bool
-	data   []float64
+	fine   *field.Field
 }
 
 // replayNestCRC is one nest's recorded identity in a replay directive.
@@ -341,309 +371,95 @@ type replayNestCRC struct {
 	crc uint32
 }
 
-// chainV2 is the state accumulated while replaying a v2 blob chain.
-type chainV2 struct {
-	meta     ckptMetaV2
-	model    []float64
-	modelNX  int
-	modelNY  int
-	hasModel bool
-	nests    map[int]*chainNest
-	// Replay directive from the last valid thin delta: the restore must
-	// re-execute the pipeline to replayStep and verify the CRCs. meta then
-	// describes the base state the replay starts from, not replayStep.
-	hasReplay      bool
-	replayStep     int
-	replayModelCRC uint32
-	replayNests    []replayNestCRC
-	// broken records that a delta tail was discarded (the chain replays
-	// from its longest valid prefix).
-	broken bool
+// replayDirective is a decoded recReplay record.
+type replayDirective struct {
+	step     int
+	modelCRC uint32
+	nests    []replayNestCRC
 }
 
-// fixed layout sizes of the binary nest/model record prefixes.
-const (
-	nestFullPrefix = 4 + 16 + 4 + 1 + 16 + 8 // id, region, steps, flags, procs, nx, ny
-	nestXORPrefix  = 4 + 4                   // id, steps
-	fieldDimPrefix = 4 + 4                   // nx, ny
-)
+// chainV2 is a decoded v2 chain: the base's state plus the last intact
+// replay directive (nil when the chain is a lone base).
+type chainV2 struct {
+	meta   ckptMetaV2
+	model  []float64
+	nests  []chainNest
+	replay *replayDirective
+}
 
-// replayChain replays a v2 blob chain from the start of data, validating
-// each blob in full (scan) before mutating the accumulated state (apply).
-// A damaged first blob is a fatal error; damage after that marks the chain
-// broken and returns the state as of the last intact blob.
-func replayChain(data []byte) (*chainV2, error) {
-	st := &chainV2{nests: make(map[int]*chainNest)}
-	feeder := &byteFeeder{}
-	var dec *gob.Decoder
-	var recs []record
-	off := 0
-	first := true
-	var prevSeq, prevCRC uint32
-	for off < len(data) {
-		h, payload, size, err := parseBlob(data[off:])
-		if err != nil {
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
+// decodeChain decodes the chain's one base, then keeps the directive of
+// each delta that continues it, so the last intact delta wins. Damage
+// after the base stops at the longest valid prefix; damage to the base is
+// fatal.
+func decodeChain(data []byte) (*chainV2, error) {
+	st := &chainV2{}
+	err := walkChain(data, func(delta bool, recs []record) error {
+		if delta {
+			st.replay = decodeReplay(recs[1].payload)
+			return nil
 		}
-		if h.delta {
-			if first {
-				return nil, fmt.Errorf("core: load pipeline state: chain starts with a delta blob (missing base)")
-			}
-			if h.seq != prevSeq+1 || h.link != prevCRC {
-				st.broken = true
-				return st, nil
-			}
-		} else if h.seq != 0 || h.link != 0 {
-			if first {
-				return nil, fmt.Errorf("core: load pipeline state: base blob with nonzero chain links")
-			}
-			st.broken = true
-			return st, nil
-		}
-		recs, err = splitRecords(payload, recs[:0])
-		if err != nil {
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if !h.delta {
-			// A full base rewrites the world: drop accumulated state and
-			// restart the chain-scoped gob stream.
-			clear(st.nests)
-			st.hasModel = false
-			dec = nil
-		}
-		if err := scanBlobRecords(st, recs, h.delta); err != nil {
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if dec == nil {
-			feeder.data = nil
-			dec = gob.NewDecoder(feeder)
-		}
-		feeder.data = recs[0].payload
-		var meta ckptMetaV2
-		if derr := dec.Decode(&meta); derr != nil || len(feeder.data) != 0 {
-			if first {
-				if derr == nil {
-					derr = fmt.Errorf("trailing bytes after metadata")
-				}
-				return nil, fmt.Errorf("core: load pipeline state: checkpoint metadata: %w", derr)
-			}
-			st.broken = true
-			return st, nil
-		}
-		hadReplay, err := applyBlobRecords(st, recs[1:])
-		if err != nil {
-			// scanBlobRecords guarantees this cannot happen; treat it as a
-			// broken tail rather than corrupting the caller.
-			if first {
-				return nil, err
-			}
-			st.broken = true
-			return st, nil
-		}
-		if !hadReplay {
-			// Field-bearing blob: its metadata describes the accumulated
-			// field state and supersedes any earlier replay directive. A
-			// thin delta keeps the base metadata — replay regenerates the
-			// events, tracker and cells it omits.
-			st.meta = meta
-			st.hasReplay = false
-		}
-		prevSeq, prevCRC = h.seq, h.crc
-		first = false
-		off += size
-	}
-	if first {
-		return nil, fmt.Errorf("core: load pipeline state: empty checkpoint chain")
+		return st.decodeBase(recs)
+	})
+	if err != nil && !errors.Is(err, ErrDeltaChainBroken) {
+		return nil, err
 	}
 	return st, nil
 }
 
-// scanBlobRecords validates every record of one blob against the
-// accumulated state without mutating it, so apply cannot fail halfway.
-func scanBlobRecords(st *chainV2, recs []record, delta bool) error {
-	if len(recs) == 0 || recs[0].kind != recMeta {
-		return fmt.Errorf("core: load pipeline state: blob does not start with a metadata record")
+// decodeBase decodes a base blob's records, which checkRecords has
+// validated.
+func (st *chainV2) decodeBase(recs []record) error {
+	r := bytes.NewReader(recs[0].payload)
+	if err := gob.NewDecoder(r).Decode(&st.meta); err != nil {
+		return fmt.Errorf("core: load pipeline state: checkpoint metadata: %w", err)
 	}
-	var seen [recReplay + 1]bool
+	if r.Len() != 0 {
+		return fmt.Errorf("core: load pipeline state: checkpoint metadata: trailing bytes")
+	}
 	for _, rec := range recs[1:] {
 		b := rec.payload
-		switch rec.kind {
-		case recMeta:
-			return fmt.Errorf("core: load pipeline state: duplicate metadata record")
-		case recModelRaw:
-			if len(b) < fieldDimPrefix {
-				return fmt.Errorf("core: load pipeline state: short model record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
-				return fmt.Errorf("core: load pipeline state: implausible model domain %dx%d", nx, ny)
-			}
-			if len(b) != fieldDimPrefix+8*nx*ny {
-				return fmt.Errorf("core: load pipeline state: model record has %d bytes for %dx%d", len(b), nx, ny)
-			}
-		case recModelXOR:
-			if len(b) < fieldDimPrefix {
-				return fmt.Errorf("core: load pipeline state: short model record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if !st.hasModel || nx != st.modelNX || ny != st.modelNY {
-				return fmt.Errorf("core: load pipeline state: model delta without a matching base field")
-			}
-			if err := scanXORRLE(nx*ny, b[fieldDimPrefix:]); err != nil {
-				return err
-			}
-		case recNestFull:
-			if len(b) < nestFullPrefix {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			nx := int(binary.LittleEndian.Uint32(b[41:45]))
-			ny := int(binary.LittleEndian.Uint32(b[45:49]))
-			if nx <= 0 || ny <= 0 || nx*ny > 1<<24 {
-				return fmt.Errorf("core: load pipeline state: implausible nest domain %dx%d", nx, ny)
-			}
-			if len(b) != nestFullPrefix+8*nx*ny {
-				id := binary.LittleEndian.Uint32(b[0:4])
-				return fmt.Errorf("core: nest %d field has %d samples for %dx%d", id, (len(b)-nestFullPrefix)/8, nx, ny)
-			}
-		case recNestXOR:
-			if len(b) < nestXORPrefix {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n, ok := st.nests[id]
-			if !ok {
-				return fmt.Errorf("core: load pipeline state: delta for unknown nest %d", id)
-			}
-			if err := scanXORRLE(len(n.data), b[nestXORPrefix:]); err != nil {
-				return err
-			}
-		case recNestRemove:
-			if len(b) != 4 {
-				return fmt.Errorf("core: load pipeline state: short nest record")
-			}
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			if _, ok := st.nests[id]; !ok {
-				return fmt.Errorf("core: load pipeline state: removal of unknown nest %d", id)
-			}
-		case recReplay:
-			if seen[recReplay] {
-				return fmt.Errorf("core: load pipeline state: duplicate replay directive")
-			}
-			if len(b) < 9 {
-				return fmt.Errorf("core: load pipeline state: short replay directive")
-			}
-			n, used := binary.Uvarint(b[8:])
-			if used <= 0 || n > 1<<16 {
-				return fmt.Errorf("core: load pipeline state: implausible replay nest count")
-			}
-			if len(b) != 8+used+8*int(n) {
-				return fmt.Errorf("core: load pipeline state: replay directive has %d bytes for %d nests", len(b), n)
-			}
-		default:
-			return fmt.Errorf("core: load pipeline state: unknown record kind %d", rec.kind)
+		if rec.kind == recModelRaw {
+			st.model = make([]float64, (len(b)-fieldDimPrefix)/8)
+			decodeRawField(st.model, b[fieldDimPrefix:])
+			continue
 		}
-		seen[rec.kind] = true
-		if !delta && (rec.kind == recModelXOR || rec.kind == recNestXOR || rec.kind == recNestRemove || rec.kind == recReplay) {
-			return fmt.Errorf("core: load pipeline state: delta record in a base blob")
+		n := chainNest{
+			id:     int(binary.LittleEndian.Uint32(b[0:4])),
+			region: decodeRect(b[4:20]),
+			steps:  int(binary.LittleEndian.Uint32(b[20:24])),
+			procs:  decodeRect(b[25:41]),
 		}
-	}
-	if seen[recReplay] && (seen[recModelRaw] || seen[recModelXOR] || seen[recNestFull] || seen[recNestXOR] || seen[recNestRemove]) {
-		return fmt.Errorf("core: load pipeline state: replay directive alongside field records")
+		n.fine = field.New(int(binary.LittleEndian.Uint32(b[41:45])), int(binary.LittleEndian.Uint32(b[45:49])))
+		decodeRawField(n.fine.Data, b[nestFullPrefix:])
+		st.nests = append(st.nests, n)
 	}
 	return nil
 }
 
-// applyBlobRecords folds one scanned blob's field records into the
-// accumulated state, reporting whether the blob carried a replay
-// directive.
-func applyBlobRecords(st *chainV2, recs []record) (bool, error) {
-	hadReplay := false
-	for _, rec := range recs {
-		b := rec.payload
-		switch rec.kind {
-		case recModelRaw:
-			nx := int(binary.LittleEndian.Uint32(b[0:4]))
-			ny := int(binary.LittleEndian.Uint32(b[4:8]))
-			if cap(st.model) < nx*ny {
-				st.model = make([]float64, nx*ny)
-			}
-			st.model = st.model[:nx*ny]
-			decodeRawField(st.model, b[fieldDimPrefix:])
-			st.modelNX, st.modelNY, st.hasModel = nx, ny, true
-		case recModelXOR:
-			if err := applyXORRLE(st.model, b[fieldDimPrefix:]); err != nil {
-				return false, err
-			}
-		case recNestFull:
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n := st.nests[id]
-			if n == nil {
-				n = &chainNest{}
-				st.nests[id] = n
-			}
-			n.region = decodeRect(b[4:20])
-			n.steps = int(binary.LittleEndian.Uint32(b[20:24]))
-			n.dist = b[24]&1 != 0
-			n.procs = decodeRect(b[25:41])
-			n.nx = int(binary.LittleEndian.Uint32(b[41:45]))
-			n.ny = int(binary.LittleEndian.Uint32(b[45:49]))
-			if cap(n.data) < n.nx*n.ny {
-				n.data = make([]float64, n.nx*n.ny)
-			}
-			n.data = n.data[:n.nx*n.ny]
-			decodeRawField(n.data, b[nestFullPrefix:])
-		case recNestXOR:
-			id := int(binary.LittleEndian.Uint32(b[0:4]))
-			n := st.nests[id]
-			n.steps = int(binary.LittleEndian.Uint32(b[4:8]))
-			if err := applyXORRLE(n.data, b[nestXORPrefix:]); err != nil {
-				return false, err
-			}
-		case recNestRemove:
-			delete(st.nests, int(binary.LittleEndian.Uint32(b[0:4])))
-		case recReplay:
-			hadReplay = true
-			st.hasReplay = true
-			st.replayStep = int(binary.LittleEndian.Uint32(b[0:4]))
-			st.replayModelCRC = binary.LittleEndian.Uint32(b[4:8])
-			n, used := binary.Uvarint(b[8:])
-			b = b[8+used:]
-			st.replayNests = st.replayNests[:0]
-			for i := 0; i < int(n); i++ {
-				st.replayNests = append(st.replayNests, replayNestCRC{
-					id:  int(binary.LittleEndian.Uint32(b[0:4])),
-					crc: binary.LittleEndian.Uint32(b[4:8]),
-				})
-				b = b[8:]
-			}
-		}
+// decodeReplay decodes a replay directive that checkRecords has validated.
+func decodeReplay(b []byte) *replayDirective {
+	d := &replayDirective{
+		step:     int(binary.LittleEndian.Uint32(b[0:4])),
+		modelCRC: binary.LittleEndian.Uint32(b[4:8]),
 	}
-	return hadReplay, nil
+	n, used := binary.Uvarint(b[replayPrefix:])
+	b = b[replayPrefix+used:]
+	for i := 0; i < int(n); i++ {
+		d.nests = append(d.nests, replayNestCRC{
+			id:  int(binary.LittleEndian.Uint32(b[0:4])),
+			crc: binary.LittleEndian.Uint32(b[4:8]),
+		})
+		b = b[8:]
+	}
+	return d
 }
 
-// restorePipelineV2 replays a v2 blob chain and rebuilds the pipeline from
-// the accumulated state.
+// restorePipelineV2 decodes a v2 blob chain, rebuilds the pipeline from
+// its base and replays it to the last intact directive.
 func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecModel, oracle *perfmodel.Oracle) (*Pipeline, error) {
-	st, err := replayChain(data)
+	st, err := decodeChain(data)
 	if err != nil {
 		return nil, err
-	}
-	if !st.hasModel {
-		return nil, fmt.Errorf("core: load pipeline state: checkpoint base has no model field")
 	}
 	meta := st.meta
 	m, err := wrfsim.RestoreModel(meta.MCfg, st.model, meta.Cells, meta.RNG, meta.Time, meta.Step)
@@ -658,33 +474,24 @@ func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecM
 	if err != nil {
 		return nil, err
 	}
-	p.set = meta.Set
-	p.nextID = meta.NextID
-	p.events = meta.Events
-	ids := make([]int, 0, len(st.nests))
-	for id := range st.nests {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		ns := st.nests[id]
-		fine := &field.Field{NX: ns.nx, NY: ns.ny, Data: ns.data}
+	p.restoreHistory(meta.Set, meta.NextID, meta.Events)
+	for _, ns := range st.nests {
 		if meta.Cfg.Distributed {
-			n, err := wrfsim.RestoreParallelNest(id, ns.region, tr.Grid(), ns.procs, fine, ns.steps)
+			n, err := wrfsim.RestoreParallelNest(ns.id, ns.region, tr.Grid(), ns.procs, ns.fine, ns.steps)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", id, err)
+				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
 			}
-			p.dnests[id] = n
+			p.dnests[ns.id] = n
 		} else {
-			n, err := wrfsim.RestoreNest(id, ns.region, fine, ns.steps)
+			n, err := wrfsim.RestoreNest(ns.id, ns.region, ns.fine, ns.steps)
 			if err != nil {
-				return nil, fmt.Errorf("core: restore nest %d: %w", id, err)
+				return nil, fmt.Errorf("core: restore nest %d: %w", ns.id, err)
 			}
-			p.nests[id] = n
+			p.nests[ns.id] = n
 		}
 	}
-	if st.hasReplay {
-		if err := replayToDirective(p, st); err != nil {
+	if st.replay != nil {
+		if err := replayToDirective(p, st.replay); err != nil {
 			return nil, err
 		}
 	}
@@ -696,11 +503,11 @@ func restorePipelineV2(data []byte, net topology.Network, model *perfmodel.ExecM
 // writer checkpointed, via the directive's model and per-nest CRCs. The
 // pipeline is deterministic, so this reproduces exactly the steps the
 // original run took between the base and the delta cut.
-func replayToDirective(p *Pipeline, st *chainV2) error {
-	k := st.replayStep - p.StepCount()
+func replayToDirective(p *Pipeline, d *replayDirective) error {
+	k := d.step - p.StepCount()
 	if k < 0 {
 		return fmt.Errorf("core: load pipeline state: replay directive targets step %d behind the base at step %d",
-			st.replayStep, p.StepCount())
+			d.step, p.StepCount())
 	}
 	if k > 0 {
 		if err := p.Run(k); err != nil {
@@ -708,17 +515,17 @@ func replayToDirective(p *Pipeline, st *chainV2) error {
 		}
 	}
 	chunk := make([]byte, 4096)
-	if got := fieldCRC(p.model.QCloud().Data, chunk); got != st.replayModelCRC {
+	if got := fieldCRC(p.model.QCloud().Data, chunk); got != d.modelCRC {
 		return fmt.Errorf("core: load pipeline state: model field diverged during delta replay (checkpoint crc %#x, replayed %#x)",
-			st.replayModelCRC, got)
+			d.modelCRC, got)
 	}
 	live := len(p.nests) + len(p.dnests)
-	if live != len(st.replayNests) {
+	if live != len(d.nests) {
 		return fmt.Errorf("core: load pipeline state: %d nests after delta replay, checkpoint recorded %d",
-			live, len(st.replayNests))
+			live, len(d.nests))
 	}
 	var gather *field.Field
-	for _, rn := range st.replayNests {
+	for _, rn := range d.nests {
 		var cur []float64
 		if p.cfg.Distributed {
 			n := p.dnests[rn.id]

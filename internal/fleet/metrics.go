@@ -238,7 +238,7 @@ func (c *Controller) WritePrometheus(w io.Writer) {
 	counter("fleet_queue_full_rejections_total", "Worker-side queue-full rejections across live workers.", fs.QueueRejects)
 	counter("fleet_checkpoint_bytes_total", "Encoded checkpoint bytes produced across live workers.", fs.CkptBytesTotal)
 	counter("fleet_full_checkpoints_total", "Full-base checkpoints cut across live workers.", fs.CkptsFull)
-	counter("fleet_delta_checkpoints_total", "Dirty-nest delta checkpoints cut across live workers.", fs.CkptsDelta)
+	counter("fleet_delta_checkpoints_total", "Replay delta checkpoints cut across live workers.", fs.CkptsDelta)
 	counter("fleet_checkpoint_appends_total", "In-place delta appends to checkpoint files across live workers.", fs.CkptAppends)
 	counter("fleet_checkpoints_truncated_total", "Chains recovered from torn delta tails across live workers.", fs.CkptsTruncated)
 	counter("tile_cache_hits_total", "Tile-cache hits across live workers' serving tiers.", fs.TileCacheHits)

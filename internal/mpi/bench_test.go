@@ -36,7 +36,7 @@ func BenchmarkAlltoallv(b *testing.B) {
 				if err := w.Run(func(r *Rank) {
 					send := make([][]float64, n)
 					send[(r.ID()+n/2)%n] = make([]float64, 256)
-					all.Alltoallv(r, send)
+					all.AlltoallvInto(r, send, nil)
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func BenchmarkAlltoallvSteady(b *testing.B) {
 					send := make([][]float64, n)
 					send[(r.ID()+n/2)%n] = make([]float64, 256)
 					for k := 0; k < 16; k++ {
-						all.Alltoallv(r, send)
+						all.AlltoallvInto(r, send, nil)
 					}
 				}); err != nil {
 					b.Fatal(err)
@@ -155,11 +155,11 @@ func BenchmarkSendRecvPingPong(b *testing.B) {
 			case 0:
 				for k := 0; k < rounds; k++ {
 					r.Send(1, k, payload)
-					r.Recv(1, k)
+					r.RecvInto(1, k, nil)
 				}
 			case 1:
 				for k := 0; k < rounds; k++ {
-					r.Recv(0, k)
+					r.RecvInto(0, k, nil)
 					r.Send(0, k, payload)
 				}
 			}

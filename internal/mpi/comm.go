@@ -13,11 +13,11 @@ import (
 // indexed by *communicator* rank (0..Size-1); the mapping to world ranks
 // is fixed at creation (sorted ascending).
 //
-// Data collectives (Bcast, Gatherv, Scatterv, Alltoallv, Allgatherv) use
-// two rendezvous: members publish buffers, the first rendezvous' hook
-// prices the exchange, members copy their results out, and the second
-// rendezvous guarantees every member finished copying before any sender
-// may reuse its buffer. Barrier and the Allreduce reductions carry only a
+// Data collectives (BcastInto, GathervInto, ScattervInto, AlltoallvInto,
+// AllgathervInto) use two rendezvous: members publish buffers, the first
+// rendezvous' hook prices the exchange, members copy their results out,
+// and the second rendezvous guarantees every member finished copying
+// before any sender may reuse its buffer. Barrier and the Allreduce reductions carry only a
 // scalar, so their reduce and release are fused into a single rendezvous
 // with a parity-double-buffered result slot.
 type Comm struct {
@@ -46,11 +46,6 @@ type Comm struct {
 	// collective, but never while anyone is two generations ahead.
 	redVals []float64
 	redOut  [2]redResult
-
-	// Allgatherv scratch: member payload offsets into the concatenation
-	// built once per call by the hook.
-	gathered []float64
-	offsets  []int
 }
 
 type redResult struct {
@@ -85,7 +80,6 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 		flat:    make([][]float64, len(sorted)),
 		clocks:  make([]float64, len(sorted)),
 		redVals: make([]float64, len(sorted)),
-		offsets: make([]int, len(sorted)+1),
 	}
 	w.register(c)
 	return c, nil
@@ -124,7 +118,7 @@ func (c *Comm) me(r *Rank) int {
 }
 
 // allocRows hands out a result row slice from s, or the heap when s is
-// nil (the copying-API wrappers).
+// nil.
 func allocRows(s *Scratch, n int) [][]float64 {
 	if s != nil {
 		return s.Rows(n)
@@ -132,8 +126,8 @@ func allocRows(s *Scratch, n int) [][]float64 {
 	return make([][]float64, n)
 }
 
-// copyInto copies src into a buffer from s (or the heap when s is nil),
-// preserving the copying API's empty→nil convention.
+// copyInto copies src into a buffer from s (or the heap when s is nil);
+// an empty src yields nil.
 func copyInto(s *Scratch, src []float64) []float64 {
 	if len(src) == 0 {
 		return nil
@@ -197,15 +191,11 @@ func (c *Comm) AllreduceSum(r *Rank, v float64) float64 {
 	return out.val
 }
 
-// Bcast distributes root's buffer to every member; each member receives a
-// fresh copy. Clocks advance to the synchronized maximum plus the modelled
-// time of the slowest root→member message.
-func (c *Comm) Bcast(r *Rank, root int, data []float64) []float64 {
-	return c.BcastInto(r, root, data, nil)
-}
-
-// BcastInto is Bcast receiving into buf (reused from length zero, grown
-// only if too small) so steady-state broadcasts allocate nothing.
+// BcastInto distributes root's buffer to every member, each receiving a
+// copy in buf (reused from length zero, grown only if too small, so
+// steady-state broadcasts allocate nothing; nil allocates a fresh one).
+// Clocks advance to the synchronized maximum plus the modelled time of
+// the slowest root→member message.
 func (c *Comm) BcastInto(r *Rank, root int, data []float64, buf []float64) []float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -229,16 +219,11 @@ func (c *Comm) BcastInto(r *Rank, root int, data []float64, buf []float64) []flo
 	return out
 }
 
-// Gatherv collects every member's buffer at root. Root receives a slice
-// indexed by comm rank (fresh copies); other members receive nil. Clocks
-// advance to the synchronized maximum plus the modelled time of the
-// slowest member→root message.
-func (c *Comm) Gatherv(r *Rank, root int, data []float64) [][]float64 {
-	return c.GathervInto(r, root, data, nil)
-}
-
-// GathervInto is Gatherv drawing the root's result rows and payload copies
-// from s (valid until s.Reset). A nil s falls back to fresh allocations.
+// GathervInto collects every member's buffer at root. Root receives a
+// slice indexed by comm rank, its rows and payload copies drawn from s
+// (valid until s.Reset; a nil s allocates fresh ones); other members
+// receive nil. Clocks advance to the synchronized maximum plus the
+// modelled time of the slowest member→root message.
 func (c *Comm) GathervInto(r *Rank, root int, data []float64, s *Scratch) [][]float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -269,22 +254,18 @@ func (c *Comm) GathervInto(r *Rank, root int, data []float64, s *Scratch) [][]fl
 	return out
 }
 
-// Alltoallv performs the personalized all-to-all exchange at the heart of
-// nest redistribution (§IV): send[i] goes to comm rank i (nil or empty
-// slices send nothing, matching the paper's zero-count participation of
-// uninvolved ranks). The result is indexed by source comm rank, with fresh
-// buffers. All member clocks advance by the modelled exchange time,
-// including the world's contention term.
-func (c *Comm) Alltoallv(r *Rank, send [][]float64) [][]float64 {
-	return c.AlltoallvInto(r, send, nil)
-}
-
-// AlltoallvInto is Alltoallv drawing the receive rows and payload copies
-// from s, the receive-side twin of building send rows from the same
-// scratch. Everything handed out stays valid until s.Reset; the collective
-// has returned on every member by the time any member's call returns, so
-// resetting after the results are consumed is always safe. A nil s falls
-// back to fresh allocations.
+// AlltoallvInto performs the personalized all-to-all exchange at the
+// heart of nest redistribution (§IV): send[i] goes to comm rank i (nil or
+// empty slices send nothing, matching the paper's zero-count participation
+// of uninvolved ranks). The result is indexed by source comm rank. All
+// member clocks advance by the modelled exchange time, including the
+// world's contention term.
+//
+// The receive rows and payload copies are drawn from s, the receive-side
+// twin of building send rows from the same scratch. Everything handed out
+// stays valid until s.Reset; the collective has returned on every member
+// by the time any member's call returns, so resetting after the results
+// are consumed is always safe. A nil s allocates fresh buffers.
 func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 {
 	me := c.me(r)
 	if len(send) != len(c.ranks) {
@@ -324,16 +305,11 @@ func (c *Comm) AlltoallvInto(r *Rank, send [][]float64, s *Scratch) [][]float64 
 	return out
 }
 
-// Scatterv distributes root's per-member buffers: member i receives a
-// fresh copy of send[i]. Only root's send argument is consulted; other
-// members pass nil. Clocks advance to the synchronized maximum plus the
-// slowest root→member message.
-func (c *Comm) Scatterv(r *Rank, root int, send [][]float64) []float64 {
-	return c.ScattervInto(r, root, send, nil)
-}
-
-// ScattervInto is Scatterv receiving into buf (reused from length zero,
-// grown only if too small).
+// ScattervInto distributes root's per-member buffers: member i receives a
+// copy of send[i] in buf (reused from length zero, grown only if too
+// small; nil allocates a fresh one). Only root's send argument is
+// consulted; other members pass nil. Clocks advance to the synchronized
+// maximum plus the slowest root→member message.
 func (c *Comm) ScattervInto(r *Rank, root int, send [][]float64, buf []float64) []float64 {
 	me := c.me(r)
 	c.clocks[me] = r.clock
@@ -359,39 +335,11 @@ func (c *Comm) ScattervInto(r *Rank, root int, send [][]float64, buf []float64) 
 	return out
 }
 
-// Allgatherv collects every member's buffer at every member: the result is
-// indexed by comm rank. Modelled as a gather to rank 0 followed by a
-// broadcast of the concatenation. The concatenation is materialized
-// exactly once per call (the old implementation copied every payload once
-// per receiving member); the returned rows are read-only views into it,
-// shared by all members. Callers that mutate their result use
-// AllgathervInto for owned copies.
-func (c *Comm) Allgatherv(r *Rank, data []float64) [][]float64 {
-	me := c.allgatherRendezvous(r, data)
-	out := make([][]float64, len(c.ranks))
-	for i := range out {
-		if lo, hi := c.offsets[i], c.offsets[i+1]; hi > lo {
-			out[i] = c.gathered[lo:hi:hi]
-		}
-	}
-	c.allgatherRelease(r, me)
-	return out
-}
-
-// AllgathervInto is Allgatherv copying each member's payload into buffers
-// from s (valid until s.Reset), for callers that need ownership of their
-// result rows.
+// AllgathervInto collects every member's buffer at every member: the
+// result is indexed by comm rank, its rows and payload copies drawn from s
+// (valid until s.Reset; a nil s allocates fresh ones). Modelled as a
+// gather to rank 0 followed by a broadcast of the concatenation.
 func (c *Comm) AllgathervInto(r *Rank, data []float64, s *Scratch) [][]float64 {
-	me := c.allgatherRendezvous(r, data)
-	out := allocRows(s, len(c.ranks))
-	for i := range c.ranks {
-		out[i] = copyInto(s, c.flat[i])
-	}
-	c.allgatherRelease(r, me)
-	return out
-}
-
-func (c *Comm) allgatherRendezvous(r *Rank, data []float64) int {
 	me := c.me(r)
 	c.clocks[me] = r.clock
 	c.flat[me] = data
@@ -413,28 +361,18 @@ func (c *Comm) allgatherRendezvous(r *Rank, data []float64) int {
 			}
 		}
 		c.sync = maxOf(c.clocks) + worst + bc
-		// Materialize the concatenation once for all members. This is the
-		// call's only payload copy; the buffer is freshly allocated because
-		// the copying API's views may outlive the collective.
-		buf := make([]float64, 0, total)
-		c.offsets[0] = 0
-		for i := range c.ranks {
-			buf = append(buf, c.flat[i]...)
-			c.offsets[i+1] = len(buf)
-		}
-		c.gathered = buf
 	})
-	return me
-}
-
-func (c *Comm) allgatherRelease(r *Rank, me int) {
+	out := allocRows(s, len(c.ranks))
+	for i := range c.ranks {
+		out[i] = copyInto(s, c.flat[i])
+	}
 	r.clock = c.sync
 	c.bar.await(me, func() {
-		c.gathered = nil
 		for i := range c.flat {
 			c.flat[i] = nil
 		}
 	})
+	return out
 }
 
 func maxOf(xs []float64) float64 {

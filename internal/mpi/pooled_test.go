@@ -39,10 +39,11 @@ type collectiveTrace struct {
 }
 
 // runCollectiveSchedule drives every collective plus point-to-point
-// traffic through either the copying APIs (pooled=false) or the
-// scratch/Into variants (pooled=true) and records per-rank traces. The
-// schedule repeats three times so pooled buffers are observed after reuse,
-// not just freshly grown.
+// traffic through the *Into variants, either with nil scratch and buffers
+// — fresh allocations on every call (pooled=false) — or with per-rank
+// scratch and reused buffers (pooled=true), and records per-rank traces.
+// The schedule repeats three times so pooled buffers are observed after
+// reuse, not just freshly grown.
 func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 	t.Helper()
 	w := pooledWorld(t)
@@ -63,37 +64,33 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 				tr.payloads = append(tr.payloads, row...)
 			}
 		}
+		sc := pooledScratch(pooled, s)
 		var p2pBuf, bcastBuf, scatterBuf []float64
 		for round := 0; round < 3; round++ {
 			s.Reset()
+			if !pooled {
+				p2pBuf, bcastBuf, scatterBuf = nil, nil, nil
+			}
 			r.Compute(float64(id) * 3e-5)
 
 			// Alltoallv: a shifting sparse exchange.
-			send := allocRows(pooledScratch(pooled, s), n)
+			send := allocRows(sc, n)
 			to := (id + round + 1) % n
 			if to != id {
-				buf := copyBuf(pooledScratch(pooled, s), 40+id+round)
+				buf := copyBuf(sc, 40+id+round)
 				for k := range buf {
 					buf[k] = float64(id*100 + round*10 + k%7)
 				}
 				send[to] = buf
 			}
-			if pooled {
-				observe(all.AlltoallvInto(r, send, s))
-			} else {
-				observe(all.Alltoallv(r, send))
-			}
+			observe(all.AlltoallvInto(r, send, sc))
 
 			// Gatherv at a rotating root.
 			data := make([]float64, (id+round)%4)
 			for k := range data {
 				data[k] = float64(id*10 + k)
 			}
-			if pooled {
-				observe(all.GathervInto(r, round%n, data, s))
-			} else {
-				observe(all.Gatherv(r, round%n, data))
-			}
+			observe(all.GathervInto(r, round%n, data, sc))
 
 			// Bcast from a rotating root.
 			var bc []float64
@@ -103,12 +100,8 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 					bc[k] = float64(round*1000 + k)
 				}
 			}
-			if pooled {
-				bcastBuf = all.BcastInto(r, (round+5)%n, bc, bcastBuf)
-				observe([][]float64{bcastBuf})
-			} else {
-				observe([][]float64{all.Bcast(r, (round+5)%n, bc)})
-			}
+			bcastBuf = all.BcastInto(r, (round+5)%n, bc, bcastBuf)
+			observe([][]float64{bcastBuf})
 
 			// Scatterv from a rotating root.
 			var rows [][]float64
@@ -121,23 +114,15 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 					}
 				}
 			}
-			if pooled {
-				scatterBuf = all.ScattervInto(r, (round+2)%n, rows, scatterBuf)
-				observe([][]float64{scatterBuf})
-			} else {
-				observe([][]float64{all.Scatterv(r, (round+2)%n, rows)})
-			}
+			scatterBuf = all.ScattervInto(r, (round+2)%n, rows, scatterBuf)
+			observe([][]float64{scatterBuf})
 
 			// Allgatherv.
 			ag := make([]float64, (id*2+round)%5)
 			for k := range ag {
 				ag[k] = float64(id*100 + round*7 + k)
 			}
-			if pooled {
-				observe(all.AllgathervInto(r, ag, s))
-			} else {
-				observe(all.Allgatherv(r, ag))
-			}
+			observe(all.AllgathervInto(r, ag, sc))
 
 			// Reductions and barrier (identical in both modes — included so
 			// the surrounding clocks line up only if their timing matches).
@@ -149,12 +134,8 @@ func runCollectiveSchedule(t *testing.T, pooled bool) []collectiveTrace {
 
 			// Point-to-point ring shift.
 			r.Send((id+1)%n, 64+round, []float64{float64(id), float64(round)})
-			if pooled {
-				p2pBuf = r.RecvInto((id+n-1)%n, 64+round, p2pBuf)
-				observe([][]float64{p2pBuf})
-			} else {
-				observe([][]float64{r.Recv((id+n-1)%n, 64+round)})
-			}
+			p2pBuf = r.RecvInto((id+n-1)%n, 64+round, p2pBuf)
+			observe([][]float64{p2pBuf})
 			all.Barrier(r)
 			tr.clocks = append(tr.clocks, r.Clock())
 		}
@@ -184,20 +165,21 @@ func copyBuf(s *Scratch, c int) []float64 {
 }
 
 // TestPooledCollectivesMatchCopying is the collective-equivalence golden
-// test: the scratch/Into variants must produce bit-identical virtual
-// clocks (the modelled Alltoallv/collective times) and bit-identical
-// payloads on every rank, compared to the copying APIs.
+// test: pooled scratch and reused buffers must produce bit-identical
+// virtual clocks (the modelled Alltoallv/collective times) and
+// bit-identical payloads on every rank, compared to nil scratch, which
+// copies into fresh buffers on every call.
 func TestPooledCollectivesMatchCopying(t *testing.T) {
-	copying := runCollectiveSchedule(t, false)
+	fresh := runCollectiveSchedule(t, false)
 	pooled := runCollectiveSchedule(t, true)
-	for id := range copying {
-		a, b := copying[id], pooled[id]
+	for id := range fresh {
+		a, b := fresh[id], pooled[id]
 		if len(a.clocks) != len(b.clocks) {
 			t.Fatalf("rank %d: %d vs %d clock marks", id, len(a.clocks), len(b.clocks))
 		}
 		for i := range a.clocks {
 			if a.clocks[i] != b.clocks[i] {
-				t.Errorf("rank %d clock mark %d: copying %g, pooled %g", id, i, a.clocks[i], b.clocks[i])
+				t.Errorf("rank %d clock mark %d: fresh %g, pooled %g", id, i, a.clocks[i], b.clocks[i])
 			}
 		}
 		if len(a.payloads) != len(b.payloads) {
@@ -205,7 +187,7 @@ func TestPooledCollectivesMatchCopying(t *testing.T) {
 		}
 		for i := range a.payloads {
 			if a.payloads[i] != b.payloads[i] {
-				t.Errorf("rank %d payload word %d: copying %g, pooled %g", id, i, a.payloads[i], b.payloads[i])
+				t.Errorf("rank %d payload word %d: fresh %g, pooled %g", id, i, a.payloads[i], b.payloads[i])
 			}
 		}
 	}
@@ -213,7 +195,7 @@ func TestPooledCollectivesMatchCopying(t *testing.T) {
 
 // TestRecvIntoHonorsInjectedDelay: the pooled receive path must apply a
 // fault plan's injected transit delay to the receiver's virtual clock,
-// exactly like Recv.
+// exactly like a receive into a fresh buffer.
 func TestRecvIntoHonorsInjectedDelay(t *testing.T) {
 	plan := faults.NewPlan(1).DelayMessage(0, 1, 7, 1, 2.5)
 	w, err := NewWorld(2, Config{Faults: plan})

@@ -57,25 +57,14 @@ func (r *Rank) Send(to, tag int, data []float64) {
 	r.clock += r.world.cfg.SendOverhead
 }
 
-// Recv blocks until a message with the given source and tag arrives and
-// returns its payload. Ownership of the buffer transfers to the caller
-// (it never returns to the world's pool — RecvInto is the recycling
-// variant). The rank's clock advances to the message's modelled arrival
-// time if that is later. Under a fault plan with a receive timeout, a
-// receive that outlives the bound (a dropped message) panics the rank;
-// World.Run recovers it and reports the failure.
-func (r *Rank) Recv(from, tag int) []float64 {
-	e := r.recv(from, tag)
-	if e.pb == nil {
-		return nil
-	}
-	return e.pb.data
-}
-
-// RecvInto is Recv copying the payload into buf (reused from length zero,
-// grown only if too small) and recycling the transport buffer, so
+// RecvInto blocks until a message with the given source and tag arrives,
+// copies its payload into buf (reused from length zero, grown only if too
+// small; nil allocates a fresh one) and recycles the transport buffer, so
 // steady-state point-to-point traffic allocates nothing. It returns the
-// filled buffer.
+// filled buffer. The rank's clock advances to the message's modelled
+// arrival time if that is later. Under a fault plan with a receive
+// timeout, a receive that outlives the bound (a dropped message) panics
+// the rank; World.Run recovers it and reports the failure.
 func (r *Rank) RecvInto(from, tag int, buf []float64) []float64 {
 	e := r.recv(from, tag)
 	if e.pb == nil {

@@ -1,8 +1,11 @@
 // Package mpi is an in-process stand-in for the MPI runtime the paper's
 // framework is built on. Ranks execute concurrently as goroutines and
-// exchange real data (point-to-point sends and the collectives the paper
-// uses: Barrier, Bcast, Gatherv, Alltoallv), while a per-rank virtual
-// clock models time on a pluggable interconnect (internal/topology).
+// exchange real data (point-to-point Send/RecvInto and the collectives
+// the paper uses: Barrier, the Allreduce reductions and the BcastInto,
+// GathervInto, ScattervInto, AlltoallvInto and AllgathervInto data
+// collectives, which fill caller scratch or allocate when given nil),
+// while a per-rank virtual clock models time on a pluggable interconnect
+// (internal/topology).
 //
 // The virtual clock is what makes the reproduction possible without a Blue
 // Gene/L: computation advances a rank's clock by a modelled amount, a

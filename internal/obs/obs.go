@@ -201,17 +201,12 @@ func (t *Tracer) Emit(e Event) {
 		}
 		a.hist.ObserveNS(e.DurNS)
 	}
-	led := t.ledger
-	t.mu.Unlock()
-	if led != nil {
-		if err := led.Append(e); err != nil {
-			t.mu.Lock()
-			if t.ledErr == nil {
-				t.ledErr = err
-			}
-			t.mu.Unlock()
-		}
+	// Append under the lock so concurrent emitters (nests stepping in
+	// parallel) write ledger lines in Seq order, matching the ring.
+	if err := t.ledger.Append(e); err != nil && t.ledErr == nil {
+		t.ledErr = err
 	}
+	t.mu.Unlock()
 }
 
 // EmitPhase records one timed phase of step `step`.

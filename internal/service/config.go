@@ -19,6 +19,7 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nestdiff/internal/core"
@@ -90,7 +91,7 @@ type JobConfig struct {
 	// auto-checkpointing.
 	AutoCheckpointSteps int `json:"auto_checkpoint_steps,omitempty"`
 	// CkptDeltaMax bounds the delta-checkpoint chain: after a full base
-	// checkpoint, up to this many dirty-nest deltas are cut before the next
+	// checkpoint, up to this many replay deltas are cut before the next
 	// full base. Zero means the default (8); negative disables deltas and
 	// writes every checkpoint as a full base.
 	CkptDeltaMax int `json:"ckpt_delta_max,omitempty"`
@@ -239,7 +240,8 @@ func buildMachine(cfg JobConfig) (*machine, error) {
 
 // buildSchedule resolves the scenario to a genesis schedule plus the
 // domain extents it was designed for ("cells" has an empty schedule; its
-// storms are injected at model build).
+// storms are injected at model build). The pipeline owns the schedule
+// (core.PipelineConfig.Genesis) and carries it in its checkpoints.
 func buildSchedule(cfg JobConfig) ([]scenario.TimedCell, int, int, error) {
 	switch strings.ToLower(cfg.Scenario) {
 	case "monsoon":
@@ -279,16 +281,13 @@ func wrfGridFor(cfg JobConfig, nx, ny int) geom.Grid {
 	return geom.NewGrid(8, 6)
 }
 
-// run is a job's executable state: the pipeline plus the scenario
-// schedule cursor and the delta-checkpoint writer tracking the pipeline's
-// dirty state across checkpoints. It is owned by exactly one worker
-// goroutine at a time; the writer's shadow state dies with the attempt, so
+// run is a job's executable state: the pipeline plus the checkpoint
+// writer cutting its delta chain. It is owned by exactly one worker
+// goroutine at a time; the writer's chain state dies with the attempt, so
 // every restored run opens its chain with a full base checkpoint.
 type run struct {
-	pipe  *core.Pipeline
-	sched []scenario.TimedCell
-	si    int
-	ckw   *core.CheckpointWriter
+	pipe *core.Pipeline
+	ckw  *core.CheckpointWriter
 }
 
 // newCkptWriter builds the run's checkpoint writer from the job config.
@@ -342,6 +341,7 @@ func newRun(cfg JobConfig) (*run, error) {
 		PDA:           pda.DefaultOptions(),
 		MaxNests:      cfg.MaxNests,
 		Distributed:   cfg.Distributed,
+		Genesis:       sched,
 	})
 	if err != nil {
 		return nil, err
@@ -349,14 +349,15 @@ func newRun(cfg JobConfig) (*run, error) {
 	if cfg.Faults != nil {
 		pipe.SetFaultPlan(cfg.Faults)
 	}
-	return &run{pipe: pipe, sched: sched, ckw: newCkptWriter(cfg)}, nil
+	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
 }
 
-// restoreRun rebuilds a run from a pause checkpoint: the machine and
+// restoreRun rebuilds a run from a checkpoint: the machine and
 // performance models are reconstructed from the config (they are
-// configuration, not state) and the pipeline is restored from the gob
-// checkpoint. The schedule cursor is recomputed from the restored step
-// count, so genesis continues exactly where it left off.
+// configuration, not state) and the pipeline — genesis schedule included —
+// is restored from the checkpoint. A checkpoint whose schedule is not the
+// one the config names (written before the schedule was checkpointed, or
+// for another job) is rejected rather than resumed without its storms.
 func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	cfg = cfg.withDefaults()
 	m, err := buildMachine(cfg)
@@ -375,25 +376,12 @@ func restoreRun(cfg JobConfig, checkpoint []byte) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	si := 0
-	for si < len(sched) && sched[si].AtStep < pipe.StepCount() {
-		si++
+	if !slices.Equal(pipe.Config().Genesis, sched) {
+		return nil, fmt.Errorf("service: checkpoint genesis schedule (%d cells) does not match the job's %s schedule (%d cells)",
+			len(pipe.Config().Genesis), cfg.Scenario, len(sched))
 	}
 	if cfg.Faults != nil {
 		pipe.SetFaultPlan(cfg.Faults)
 	}
-	return &run{pipe: pipe, sched: sched, si: si, ckw: newCkptWriter(cfg)}, nil
-}
-
-// step injects the storms scheduled for the upcoming parent step, then
-// advances the pipeline by one step.
-func (r *run) step() error {
-	at := r.pipe.StepCount()
-	for r.si < len(r.sched) && r.sched[r.si].AtStep == at {
-		if err := r.pipe.Model().InjectCell(r.sched[r.si].Cell); err != nil {
-			return err
-		}
-		r.si++
-	}
-	return r.pipe.Step()
+	return &run{pipe: pipe, ckw: newCkptWriter(cfg)}, nil
 }

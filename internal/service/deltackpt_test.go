@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -14,45 +15,71 @@ import (
 // variant of the core resilience claim: with a long delta chain (one full
 // base, then replay deltas only), a crash-retried job must still end
 // bit-identical to a fault-free run. The retry restores from the in-memory
-// chain, which means replaying the delta's steps from the base.
+// chain, which means replaying the delta's steps from the base — across
+// the storm births the scripted scenarios schedule in between, in both
+// the serial and the distributed pipeline.
 func TestChaosRetryFromDeltaChainMatchesFaultFree(t *testing.T) {
-	const steps = 60
-	cfg := chaosJob(steps)
-	cfg.AutoCheckpointSteps = 5
-	cfg.CkptDeltaMax = 100 // never re-base: the crash always lands on a delta tail
-	refSnap, refEvents := runFaultFree(t, cfg)
+	for _, tc := range []struct {
+		name        string
+		scenario    string
+		distributed bool
+	}{
+		{"monsoon", "monsoon", false},
+		{"cyclone", "cyclone", false},
+		{"burst", "burst", false},
+		{"cells", "cells", false},
+		{"monsoon distributed", "monsoon", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const steps = 60
+			cfg := chaosJob(steps)
+			if tc.scenario != "cells" {
+				cfg.Scenario, cfg.Cells, cfg.NX, cfg.NY = tc.scenario, nil, 0, 0
+			}
+			cfg.Distributed = tc.distributed
+			cfg.AutoCheckpointSteps = 5
+			cfg.CkptDeltaMax = 100 // never re-base: the crash always lands on a delta tail
+			refSnap, refEvents := runFaultFree(t, cfg)
 
-	s := NewScheduler(SchedulerConfig{Workers: 1})
-	defer s.Shutdown(context.Background())
-	cfg.Faults = faults.NewPlan(1).CrashRank(37, faults.Wildcard)
-	snap, err := s.Submit(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitFor(t, s, snap.ID, "terminal", func(sn Snapshot) bool { return sn.State.Terminal() })
-	if final.State != StateDone {
-		t.Fatalf("chaos run finished %s (error %q), want done", final.State, final.Error)
-	}
-	if final.Retries != 1 {
-		t.Fatalf("retries = %d, want exactly 1", final.Retries)
-	}
-	if got := s.Metrics().DeltaCheckpoints(); got < 5 {
-		t.Fatalf("delta checkpoints = %d, want a real chain (>= 5)", got)
-	}
-	if got := s.Metrics().FullCheckpoints(); got < 1 {
-		t.Fatalf("full checkpoints = %d, want at least the base (and the re-base after retry)", got)
-	}
-	if !reflect.DeepEqual(final.ActiveNests, refSnap.ActiveNests) {
-		t.Fatalf("final nest sets diverged:\nchaos      %+v\nfault-free %+v",
-			final.ActiveNests, refSnap.ActiveNests)
-	}
-	events, err := s.JobEvents(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events, refEvents) {
-		t.Fatalf("event traces diverged: chaos %d events, fault-free %d events",
-			len(events), len(refEvents))
+			s := NewScheduler(SchedulerConfig{Workers: 1})
+			defer s.Shutdown(context.Background())
+			cfg.Faults = faults.NewPlan(1).CrashRank(37, faults.Wildcard)
+			snap, err := s.Submit(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitFor(t, s, snap.ID, "terminal", func(sn Snapshot) bool { return sn.State.Terminal() })
+			if final.State != StateDone {
+				t.Fatalf("chaos run finished %s (error %q), want done", final.State, final.Error)
+			}
+			if final.Retries != 1 {
+				t.Fatalf("retries = %d, want exactly 1", final.Retries)
+			}
+			if got := s.Metrics().DeltaCheckpoints(); got < 5 {
+				t.Fatalf("delta checkpoints = %d, want a real chain (>= 5)", got)
+			}
+			if got := s.Metrics().FullCheckpoints(); got < 1 {
+				t.Fatalf("full checkpoints = %d, want at least the base (and the re-base after retry)", got)
+			}
+			if !reflect.DeepEqual(final.ActiveNests, refSnap.ActiveNests) {
+				t.Fatalf("final nest sets diverged:\nchaos      %+v\nfault-free %+v",
+					final.ActiveNests, refSnap.ActiveNests)
+			}
+			events, err := s.JobEvents(snap.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(events, refEvents) {
+				t.Fatalf("event traces diverged: chaos %d events, fault-free %d events",
+					len(events), len(refEvents))
+			}
+			if final.ExecTime != refSnap.ExecTime || final.RedistTime != refSnap.RedistTime ||
+				final.ExecutedRedistTime != refSnap.ExecutedRedistTime {
+				t.Fatalf("cumulative costs diverged: exec %g vs %g, redist %g vs %g, executed redist %g vs %g",
+					final.ExecTime, refSnap.ExecTime, final.RedistTime, refSnap.RedistTime,
+					final.ExecutedRedistTime, refSnap.ExecutedRedistTime)
+			}
+		})
 	}
 }
 
@@ -175,5 +202,32 @@ func TestDeltaAppendsGrowTheFileInPlace(t *testing.T) {
 	// the bound is generous; a thin replay delta is ~100 bytes.
 	if perAppend := growth / appends; perAppend > 4096 {
 		t.Fatalf("average append is %d bytes, want a thin replay delta (<= 4096)", perAppend)
+	}
+}
+
+// TestRestoreRunRejectsForeignGenesis: a checkpoint carries its genesis
+// schedule, and a restore under a config naming another schedule fails
+// instead of resuming without the checkpoint's storms.
+func TestRestoreRunRejectsForeignGenesis(t *testing.T) {
+	cfg := chaosJob(60)
+	cfg.Scenario, cfg.Cells, cfg.NX, cfg.NY = "monsoon", nil, 0, 0
+	r, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.pipe.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.pipe.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restoreRun(cfg, buf.Bytes()); err != nil {
+		t.Fatalf("restore under the checkpoint's own config: %v", err)
+	}
+	other := cfg
+	other.Seed++
+	if _, err := restoreRun(other, buf.Bytes()); err == nil {
+		t.Fatal("restore under a config with another genesis schedule succeeded")
 	}
 }

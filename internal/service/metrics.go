@@ -34,7 +34,7 @@ type Metrics struct {
 	// Fast-checkpoint-path counters.
 	checkpointBytesTotal atomic.Int64 // encoded checkpoint bytes produced (full + delta blobs)
 	fullCheckpoints      atomic.Int64 // checkpoints cut as full bases
-	deltaCheckpoints     atomic.Int64 // checkpoints cut as dirty-nest deltas
+	deltaCheckpoints     atomic.Int64 // checkpoints cut as replay deltas
 	checkpointAppends    atomic.Int64 // delta blobs appended in place to the store file
 	checkpointsTruncated atomic.Int64 // chains recovered from a torn delta tail (prefix restored)
 
@@ -140,7 +140,7 @@ func (m *Metrics) CheckpointBytesTotal() int64 { return m.checkpointBytesTotal.L
 // FullCheckpoints returns the checkpoints cut as full bases.
 func (m *Metrics) FullCheckpoints() int64 { return m.fullCheckpoints.Load() }
 
-// DeltaCheckpoints returns the checkpoints cut as dirty-nest deltas.
+// DeltaCheckpoints returns the checkpoints cut as replay deltas.
 func (m *Metrics) DeltaCheckpoints() int64 { return m.deltaCheckpoints.Load() }
 
 // CheckpointAppends returns the delta blobs the persister appended in
@@ -278,7 +278,7 @@ func (s *Scheduler) WritePrometheus(w io.Writer) {
 	counter(w, "nestserved_checkpoints_fenced_total", "Checkpoint writes refused because the store held a higher-epoch file.", m.checkpointsFenced.Load())
 	counter(w, "nestserved_checkpoint_bytes_total", "Encoded checkpoint bytes produced (full bases plus delta blobs).", m.checkpointBytesTotal.Load())
 	counter(w, "nestserved_full_checkpoints_total", "Checkpoints cut as full base blobs.", m.fullCheckpoints.Load())
-	counter(w, "nestserved_delta_checkpoints_total", "Checkpoints cut as dirty-nest delta blobs.", m.deltaCheckpoints.Load())
+	counter(w, "nestserved_delta_checkpoints_total", "Checkpoints cut as replay delta blobs.", m.deltaCheckpoints.Load())
 	counter(w, "nestserved_checkpoint_appends_total", "Delta blobs appended in place to checkpoint files (no rewrite).", m.checkpointAppends.Load())
 	counter(w, "nestserved_checkpoints_truncated_total", "Persisted chains recovered from a torn delta tail (longest intact prefix restored).", m.checkpointsTruncated.Load())
 	ts := s.tiles.Stats()

@@ -751,9 +751,9 @@ func (s *Scheduler) resizeRun(j *Job, r *run, cfg *JobConfig, procs int) {
 	}
 	d := time.Since(start)
 	// The resize rebuilt tracker and nest state ULP-equivalently, not
-	// bit-identically, and the processor geometry changed under every
-	// shadow the delta writer holds: invalidate it so the post-resize
-	// checkpoint below opens a fresh chain with a full base.
+	// bit-identically, so replaying from the old base would diverge:
+	// invalidate the writer so the post-resize checkpoint below opens a
+	// fresh chain with a full base.
 	r.ckw.Invalidate()
 	cfg.Cores = procs
 	j.mu.Lock()
@@ -950,7 +950,7 @@ func (s *Scheduler) runJob(j *Job) {
 			return
 		}
 		stepStart := time.Now()
-		if err := r.step(); err != nil {
+		if err := r.pipe.Step(); err != nil {
 			s.retryOrFail(j, err)
 			return
 		}
@@ -993,12 +993,11 @@ func (s *Scheduler) runJob(j *Job) {
 
 // autoCheckpoint snapshots a running job so a later retry loses at most
 // AutoCheckpointSteps steps. The pipeline is encoded by the run's delta
-// checkpoint writer — a full base or, when only some nests changed since
-// the last cut, a delta blob a fraction of the size — and the encoded
-// chain is handed to the background persister, so the step loop never
-// waits on file I/O. A failed write (injected or real) is counted and
-// skipped: the previous good chain stays authoritative and the writer's
-// dirty tracking is invalidated, forcing the next cut to a full base.
+// checkpoint writer — a full base or a replay delta of about a hundred
+// bytes — and the encoded chain is handed to the background persister, so
+// the step loop never waits on file I/O. A failed write (injected or real) is counted and
+// skipped: the previous good chain stays authoritative and the writer is
+// invalidated, forcing the next cut to a full base.
 func (s *Scheduler) autoCheckpoint(j *Job, r *run, cfg JobConfig) {
 	start := time.Now()
 	defer func() {
@@ -1089,10 +1088,11 @@ func (s *Scheduler) retryOrFail(j *Job, err error) {
 		j.pauseReq, j.cancelReq = false, false
 		j.updated = time.Now()
 		j.emitJobEventLocked("cancelled", "")
-		epoch := j.epoch
+		// Remove under j.mu: whoever observes the terminal state also
+		// observes the file gone.
+		s.removeCheckpointFile(j.ID, j.epoch)
 		j.mu.Unlock()
 		s.metrics.jobsCancelled.Add(1)
-		s.removeCheckpointFile(j.ID, epoch)
 		return
 	}
 	if j.retries >= j.Cfg.MaxRetries {
@@ -1283,9 +1283,10 @@ func (s *Scheduler) finish(j *Job, state JobState, err error, r *run) {
 		detail = err.Error()
 	}
 	j.emitJobEventLocked(string(state), detail)
-	epoch := j.epoch
+	// Remove under j.mu: whoever observes the terminal state also
+	// observes the file gone.
+	s.removeCheckpointFile(j.ID, j.epoch)
 	j.mu.Unlock()
-	s.removeCheckpointFile(j.ID, epoch)
 }
 
 // finishFenced terminates a superseded running copy. It deliberately

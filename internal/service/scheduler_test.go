@@ -183,7 +183,7 @@ func TestSchedulerPauseResumeMatchesUninterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r.pipe.StepCount() < direct.Steps {
-		if err := r.step(); err != nil {
+		if err := r.pipe.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
