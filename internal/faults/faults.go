@@ -167,7 +167,7 @@ type Plan struct {
 func NewPlan(seed int64) *Plan { return &Plan{seed: seed} }
 
 // CrashRank schedules a one-shot panic of world rank `rank` the first time
-// an mpi world launches it at pipeline step >= step. The world recovers
+// an mpi world launches it (lists it in a Run) at pipeline step >= step. The world recovers
 // the panic, poisons blocked collectives so nothing deadlocks, and
 // surfaces the crash as an error from World.Run.
 func (p *Plan) CrashRank(step, rank int) *Plan {
@@ -408,8 +408,10 @@ func (p *Plan) Step() int {
 }
 
 // CrashPoint panics if a pending crash rule matches rank at the current
-// step. mpi.World.Run calls it as each rank goroutine launches; the
-// panic is recovered by the world and becomes a Run error.
+// step. mpi.World.RunRanks (and Run, which lists every rank) calls it as
+// each listed rank's goroutine launches; the panic is recovered by the
+// world and becomes a Run error. A rank a Run does not list never reaches
+// the crash point, so its rule fires at the rank's next participation.
 func (p *Plan) CrashPoint(rank int) {
 	if p == nil {
 		return

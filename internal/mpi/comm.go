@@ -85,13 +85,13 @@ func (w *World) NewComm(ranks []int) (*Comm, error) {
 	return c, nil
 }
 
-// All returns a communicator spanning every world rank.
+// All returns the communicator spanning every world rank. It is built
+// once per world and every call returns the same instance, so only one
+// collective sequence may use it at a time: callers that need concurrent
+// collectives over all ranks must build their own with NewComm.
 func (w *World) All() (*Comm, error) {
-	ranks := make([]int, w.n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return w.NewComm(ranks)
+	w.allOnce.Do(func() { w.all, w.allErr = w.NewComm(w.everyone) })
+	return w.all, w.allErr
 }
 
 // Size returns the number of communicator members.

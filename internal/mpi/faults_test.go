@@ -139,3 +139,59 @@ func TestInjectedCrashPoisonsWorld(t *testing.T) {
 		t.Fatal("world deadlocked after injected crash")
 	}
 }
+
+// TestRunRanksCrashOnListedRankPoisons: a crash rule for a listed rank
+// fires in that Run, unblocks its peers and poisons the world for every
+// later Run.
+func TestRunRanksCrashOnListedRankPoisons(t *testing.T) {
+	plan := faults.NewPlan(1).CrashRank(0, 2)
+	w, err := NewWorld(4, Config{Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- w.RunRanks([]int{1, 2}, func(r *Rank) {
+			if r.ID() == 1 {
+				r.RecvInto(2, 1, nil) // rank 2 dies before sending
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "injected crash of rank 2") {
+			t.Fatalf("error %v, want injected crash of rank 2", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunRanks deadlocked after injected crash")
+	}
+	if err := w.RunRanks([]int{0, 3}, func(*Rank) {}); err == nil {
+		t.Fatal("poisoned world ran again without error")
+	}
+}
+
+// TestRunRanksUnlistedCrashWaitsForParticipation: a crash rule for a rank
+// that a Run does not list does not fire in that Run; it fires the next
+// time the rank participates.
+func TestRunRanksUnlistedCrashWaitsForParticipation(t *testing.T) {
+	plan := faults.NewPlan(1).CrashRank(0, 3)
+	w, err := NewWorld(4, Config{Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range [][]int{{0, 1}, {2}, {0, 1, 2}} {
+		if err := w.RunRanks(ranks, func(*Rank) {}); err != nil {
+			t.Fatalf("ranks %v: %v", ranks, err)
+		}
+	}
+	if inj := plan.Injections(); len(inj) != 0 {
+		t.Fatalf("crash fired without rank 3 participating: %+v", inj)
+	}
+	err = w.RunRanks([]int{1, 3}, func(*Rank) {})
+	if err == nil || !strings.Contains(err.Error(), "injected crash of rank 3") {
+		t.Fatalf("error %v, want injected crash of rank 3", err)
+	}
+	if inj := plan.Injections(); len(inj) != 1 || inj[0].Kind != faults.KindRankCrash || inj[0].Rank != 3 {
+		t.Fatalf("injection log %+v, want one crash of rank 3", inj)
+	}
+}

@@ -17,6 +17,11 @@ import (
 // breaks this test, which is the "bit-identical to the pre-change
 // collectives" guarantee of the zero-copy communication layer.
 func goldenSchedule(t testing.TB) []float64 {
+	return runGoldenSchedule(t, goldenWorld(t))
+}
+
+// goldenWorld is the 4x4 torus world goldenSchedule runs on.
+func goldenWorld(t testing.TB) *World {
 	g := geom.NewGrid(4, 4)
 	net, err := topology.NewTorus3D(g, topology.TorusDimsFor(16), topology.DefaultTorusParams())
 	if err != nil {
@@ -30,6 +35,11 @@ func goldenSchedule(t testing.TB) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+// runGoldenSchedule runs the golden collective schedule on w.
+func runGoldenSchedule(t testing.TB, w *World) []float64 {
 	all, err := w.All()
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +174,45 @@ func TestCollectiveClocksMatchGolden(t *testing.T) {
 			t.Errorf("stage %d clock %s, golden %s", i,
 				strconv.FormatFloat(v, 'g', 17, 64),
 				strconv.FormatFloat(goldenClocks[i], 'g', 17, 64))
+		}
+	}
+}
+
+// TestAllIsBuiltOncePerWorld: All returns one shared communicator however
+// often it is called, so a long-lived world registers one all-ranks comm,
+// not one per call — and reusing it across Runs keeps the golden clocks.
+func TestAllIsBuiltOncePerWorld(t *testing.T) {
+	w := goldenWorld(t)
+	first, err := w.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		c, err := w.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != first {
+			t.Fatalf("call %d returned a different communicator", i)
+		}
+	}
+	w.mu.Lock()
+	registered := len(w.comms)
+	w.mu.Unlock()
+	if registered != 1 {
+		t.Fatalf("%d registered communicators after 1001 All calls, want 1", registered)
+	}
+	for pass := 0; pass < 2; pass++ {
+		trace := runGoldenSchedule(t, w)
+		if len(trace) != len(goldenClocks) {
+			t.Fatalf("pass %d: trace has %d stages, golden has %d", pass, len(trace), len(goldenClocks))
+		}
+		for i, v := range trace {
+			if v != goldenClocks[i] {
+				t.Errorf("pass %d stage %d clock %s, golden %s", pass, i,
+					strconv.FormatFloat(v, 'g', 17, 64),
+					strconv.FormatFloat(goldenClocks[i], 'g', 17, 64))
+			}
 		}
 	}
 }

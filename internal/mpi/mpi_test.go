@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -53,6 +54,43 @@ func TestRunAllRanksExecute(t *testing.T) {
 	}
 	if count != 64 {
 		t.Fatalf("ran %d ranks, want 64", count)
+	}
+}
+
+// TestRunRanksRunsOnlyListedRanks: RunRanks starts exactly the listed
+// ranks and rejects a list that is not strictly ascending world ranks
+// before starting any.
+func TestRunRanksRunsOnlyListedRanks(t *testing.T) {
+	w, err := NewWorld(16, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran [16]atomic.Int32
+	if err := w.RunRanks([]int{2, 5, 6, 15}, func(r *Rank) {
+		ran[r.ID()].Add(1)
+		if r.Size() != 16 {
+			panic("wrong size")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for id := range ran {
+		want := int32(0)
+		if id == 2 || id == 5 || id == 6 || id == 15 {
+			want = 1
+		}
+		if got := ran[id].Load(); got != want {
+			t.Errorf("rank %d ran %d times, want %d", id, got, want)
+		}
+	}
+	if err := w.RunRanks(nil, func(*Rank) { panic("no rank listed") }); err != nil {
+		t.Fatalf("empty rank list: %v", err)
+	}
+	for _, bad := range [][]int{{3, 1}, {1, 1}, {-1}, {16}} {
+		if err := w.RunRanks(bad, func(*Rank) { panic("started") }); err == nil ||
+			!strings.Contains(err.Error(), "strictly ascending") {
+			t.Errorf("ranks %v: error %v, want a rank-list error", bad, err)
+		}
 	}
 }
 

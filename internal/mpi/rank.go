@@ -3,7 +3,8 @@ package mpi
 import "fmt"
 
 // Rank is one process of the world, valid only inside the function passed
-// to World.Run and only on its own goroutine.
+// to World.Run or World.RunRanks and only on its own goroutine. Each Run
+// hands a rank a fresh Rank, so its virtual clock starts at zero.
 type Rank struct {
 	id    int
 	world *World

@@ -1,6 +1,7 @@
 // Package mpi is an in-process stand-in for the MPI runtime the paper's
-// framework is built on. Ranks execute concurrently as goroutines and
-// exchange real data (point-to-point Send/RecvInto and the collectives
+// framework is built on. Ranks execute concurrently as goroutines — one
+// per rank a Run lists, so a nest on a sub-grid runs only its own ranks —
+// and exchange real data (point-to-point Send/RecvInto and the collectives
 // the paper uses: Barrier, the Allreduce reductions and the BcastInto,
 // GathervInto, ScattervInto, AlltoallvInto and AllgathervInto data
 // collectives, which fill caller scratch or allocate when given nil),
@@ -56,6 +57,13 @@ type World struct {
 	// nothing.
 	payloads sync.Pool
 
+	// everyone lists every rank (Run's rank list); all is the shared
+	// all-ranks communicator, built on first use by All.
+	everyone []int
+	allOnce  sync.Once
+	all      *Comm
+	allErr   error
+
 	mu       sync.Mutex
 	failures []error
 	comms    []*Comm
@@ -83,12 +91,14 @@ func NewWorld(n int, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: network has %d ranks, world needs %d", cfg.Net.Size(), n)
 	}
 	w := &World{
-		n:     n,
-		cfg:   cfg,
-		boxes: make([]mailbox, n),
+		n:        n,
+		cfg:      cfg,
+		boxes:    make([]mailbox, n),
+		everyone: make([]int, n),
 	}
 	for i := range w.boxes {
 		w.boxes[i].init(n)
+		w.everyone[i] = i
 	}
 	if cfg.Faults != nil {
 		w.faults.Store(cfg.Faults)
@@ -103,27 +113,28 @@ func (w *World) Size() int { return w.n }
 // Call it between Run invocations, not while ranks are executing.
 func (w *World) SetFaults(p *faults.Plan) { w.faults.Store(p) }
 
-// Run executes fn once per rank, concurrently, and returns after every
-// rank finishes. A panic in any rank is captured, the world is poisoned so
-// blocked ranks fail fast instead of deadlocking, and the first panic is
-// returned as an error.
-func (w *World) Run(fn func(r *Rank)) error {
+// Run executes fn once on every rank of the world; it is RunRanks over
+// all ranks.
+func (w *World) Run(fn func(r *Rank)) error { return w.RunRanks(w.everyone, fn) }
+
+// RunRanks executes fn once per listed world rank, concurrently, and
+// returns after every listed rank finishes. ranks must be strictly
+// ascending. Only listed ranks get a goroutine and a fresh Rank (virtual
+// clock at zero), and only they reach the fault plan's crash point, so a
+// crash rule for an unlisted rank waits for that rank's next Run. A
+// panic in any rank is captured, the world is poisoned so blocked ranks
+// fail fast instead of deadlocking, and the first panic is returned as an
+// error; a poisoned world fails every later Run with that error.
+func (w *World) RunRanks(ranks []int, fn func(r *Rank)) error {
+	for i, id := range ranks {
+		if id < 0 || id >= w.n || (i > 0 && id <= ranks[i-1]) {
+			return fmt.Errorf("mpi: rank list entry %d (rank %d) is not a strictly ascending rank of a world of %d", i, id, w.n)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(w.n)
-	for id := 0; id < w.n; id++ {
-		go func(id int) {
-			defer wg.Done()
-			r := &Rank{id: id, world: w}
-			defer func() {
-				if p := recover(); p != nil {
-					w.fail(fmt.Errorf("mpi: rank %d panicked: %v", id, p))
-				}
-			}()
-			if plan := w.faults.Load(); plan != nil {
-				plan.CrashPoint(id) // may panic: an injected rank crash
-			}
-			fn(r)
-		}(id)
+	wg.Add(len(ranks))
+	for _, id := range ranks {
+		go w.runRank(&wg, id, fn)
 	}
 	wg.Wait()
 	w.mu.Lock()
@@ -132,6 +143,20 @@ func (w *World) Run(fn func(r *Rank)) error {
 		return w.failures[0]
 	}
 	return nil
+}
+
+// runRank is one rank's goroutine in a Run.
+func (w *World) runRank(wg *sync.WaitGroup, id int, fn func(r *Rank)) {
+	defer wg.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			w.fail(fmt.Errorf("mpi: rank %d panicked: %v", id, p))
+		}
+	}()
+	if plan := w.faults.Load(); plan != nil {
+		plan.CrashPoint(id) // may panic: an injected rank crash
+	}
+	fn(&Rank{id: id, world: w})
 }
 
 func (w *World) fail(err error) {

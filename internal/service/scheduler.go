@@ -189,7 +189,8 @@ func (s *Scheduler) Ready() bool {
 // Metrics returns the scheduler's counters.
 func (s *Scheduler) Metrics() *Metrics { return s.metrics }
 
-// Submit validates, registers and enqueues a job, returning its snapshot.
+// Submit validates, registers and enqueues a job, returning its snapshot
+// as submitted (state queued), taken before any worker can pick it up.
 func (s *Scheduler) Submit(cfg JobConfig) (Snapshot, error) {
 	return s.submit("", 0, cfg)
 }
@@ -246,6 +247,9 @@ func (s *Scheduler) submit(id string, epoch int64, cfg JobConfig) (Snapshot, err
 
 	s.attachTracer(j, cfg)
 
+	// Snapshot before the send: once the job is on the queue a worker may
+	// already be running it.
+	snap := j.Snapshot()
 	select {
 	case s.queue <- j:
 	default:
@@ -263,7 +267,7 @@ func (s *Scheduler) submit(id string, epoch int64, cfg JobConfig) (Snapshot, err
 	}
 	s.metrics.jobsSubmitted.Add(1)
 	j.emitJobEvent("submitted", fmt.Sprintf("%s/%s, %d cores, %d steps", cfg.Scenario, cfg.Strategy, cfg.Cores, cfg.Steps))
-	return j.Snapshot(), nil
+	return snap, nil
 }
 
 // attachTracer gives a freshly registered traced job its tracer and

@@ -162,3 +162,30 @@ func BenchmarkRedistribute(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkParallelNestStep steps a distributed nest on a 6x4
+// sub-rectangle of a 16x16 (256-rank) world: one parent step, NestRatio
+// fine substeps with halo exchange, run on the nest's member ranks only.
+func BenchmarkParallelNestStep(b *testing.B) {
+	m := benchModel(b, 180, 105)
+	for i := 0; i < 10; i++ {
+		m.Step()
+	}
+	pg := geom.NewGrid(16, 16)
+	w := parallelWorld(b, pg.Size())
+	n, err := m.NewParallelNest(1, geom.NewRect(70, 40, 40, 30), pg, geom.NewRect(5, 6, 6, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, cells := m.Config(), m.Cells()
+	if err := n.Step(w, cfg, cells); err != nil { // warm the per-rank buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.Step(w, cfg, cells); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

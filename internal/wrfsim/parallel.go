@@ -66,6 +66,21 @@ type neighbour struct {
 	dx, dy int
 }
 
+// neighboursIn lists the directions of me's 8-neighbourhood that lie
+// inside within, the halo-exchange partners of a block decomposition
+// over within.
+func neighboursIn(me geom.Point, within geom.Rect) []neighbour {
+	var out []neighbour
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			if (dx != 0 || dy != 0) && within.Contains(geom.Point{X: me.X + dx, Y: me.Y + dy}) {
+				out = append(out, neighbour{dx, dy})
+			}
+		}
+	}
+	return out
+}
+
 // haloWidth is the stencil reach of one advection step in cells. The
 // ambient flow moves well under one cell per 2-minute step, so a width of
 // 2 is conservative.
@@ -109,17 +124,7 @@ func NewParallelModel(cfg Config, pg geom.Grid, world *mpi.World) (*ParallelMode
 			ext:    field.New(blk.Width()+2*haloWidth, blk.Height()+2*haloWidth),
 		}
 		st.olr.Fill(cfg.OLRClear)
-		me := pg.Coord(r)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				if pg.Bounds().Contains(geom.Point{X: me.X + dx, Y: me.Y + dy}) {
-					st.nbrs = append(st.nbrs, neighbour{dx, dy})
-				}
-			}
-		}
+		st.nbrs = neighboursIn(pg.Coord(r), pg.Bounds())
 		pm.local[r] = st
 	}
 	return pm, nil

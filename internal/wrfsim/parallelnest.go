@@ -32,6 +32,12 @@ type ParallelNest struct {
 	// the sub-grid). A slice, not a map: each rank's goroutine writes only
 	// its own element, which is race-free.
 	local []*field.Field
+	// members lists the world ranks of procs in ascending order, and
+	// nbrs[rank] is that member's halo neighbour directions inside procs
+	// (nil for non-members). Both are fixed per layout: setLayout rebuilds
+	// them whenever procs changes, so Step derives neither.
+	members []int
+	nbrs    [][]neighbour
 	// next, ext, and sendBuf are per-rank step scratch (advection double
 	// buffer, halo-extended source, halo staging buffer), indexed like
 	// local and touched only by the owning rank's goroutine. They are
@@ -99,14 +105,25 @@ func (n *ParallelNest) scatter(fine *field.Field, procs geom.Rect) error {
 		return fmt.Errorf("wrfsim: nest %d block %v narrower than the %d-cell halo; use fewer ranks",
 			n.ID, bad, haloWidth)
 	}
-	n.procs = procs
-	n.local = local
+	n.setLayout(procs, local)
 	n.next = make([]*field.Field, n.pg.Size())
 	n.ext = make([]*field.Field, n.pg.Size())
 	n.sendBuf = make([][]float64, n.pg.Size())
 	n.recvBuf = make([][]float64, n.pg.Size())
 	n.redistScratch = make([]mpi.Scratch, n.pg.Size())
 	return nil
+}
+
+// setLayout installs a processor sub-rectangle with its per-rank blocks
+// and caches the member rank list and every member's halo neighbours.
+func (n *ParallelNest) setLayout(procs geom.Rect, local []*field.Field) {
+	n.procs = procs
+	n.local = local
+	n.members = n.pg.Ranks(procs)
+	n.nbrs = make([][]neighbour, n.pg.Size())
+	for _, rid := range n.members {
+		n.nbrs[rid] = neighboursIn(n.pg.Coord(rid), procs)
+	}
 }
 
 // Procs returns the current processor sub-rectangle.
@@ -119,9 +136,11 @@ func (n *ParallelNest) Size() (nx, ny int) { return n.nx, n.ny }
 func (n *ParallelNest) StepCount() int { return n.steps }
 
 // Step advances the nest through NestRatio fine substeps on the world,
-// mirroring the serial Nest physics. Ranks outside the nest's sub-grid
-// return immediately (in the paper's framework they are busy with other
-// nests). cells must be the parent model's current cell population.
+// mirroring the serial Nest physics. It runs only on the nest's member
+// ranks (World.RunRanks), with one Run per parent step that loops the
+// substeps inside each rank, so the ranks of other nests — or idle ones
+// — cost nothing. cells must be the parent model's current cell
+// population.
 func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 	if w.Size() != n.pg.Size() {
 		return fmt.Errorf("wrfsim: world of %d ranks for grid of %d", w.Size(), n.pg.Size())
@@ -132,14 +151,11 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 	vy := cfg.FlowV * dtFine * NestRatio
 	decay := math.Exp(-dtFine / cfg.DecayTau)
 
-	for s := 0; s < NestRatio; s++ {
-		err := w.Run(func(r *mpi.Rank) {
-			me := n.pg.Coord(r.ID())
-			if !n.procs.Contains(me) {
-				return
-			}
-			blk := dist.BlockOf(me)
-			f := n.local[r.ID()]
+	err := w.RunRanks(n.members, func(r *mpi.Rank) {
+		rid := r.ID()
+		blk := dist.BlockOf(n.pg.Coord(rid))
+		for s := 0; s < NestRatio; s++ {
+			f := n.local[rid]
 
 			// Deposit the scaled sources into the owned block.
 			for _, c := range cells {
@@ -149,11 +165,10 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 			}
 			r.Compute(float64(blk.Area()) * 5e-9)
 
-			ext := n.exchangeNestHalo(r, dist, blk, f)
+			ext := n.exchangeNestHalo(r, n.steps+s, dist, blk, f)
 
 			// Advect+decay into the rank's double buffer, then swap it
 			// with the owned block.
-			rid := r.ID()
 			next := n.next[rid]
 			if next == nil || next.NX != blk.Width() || next.NY != blk.Height() {
 				next = field.New(blk.Width(), blk.Height())
@@ -167,18 +182,19 @@ func (n *ParallelNest) Step(w *mpi.World, cfg Config, cells []Cell) error {
 			})
 			n.local[rid], n.next[rid] = next, f
 			r.Compute(float64(blk.Area()) * 2e-8)
-		})
-		if err != nil {
-			return err
 		}
-		n.steps++
+	})
+	if err != nil {
+		return err
 	}
+	n.steps += NestRatio
 	return nil
 }
 
 // exchangeNestHalo mirrors ParallelModel.exchangeHalo on the nest's
-// sub-grid.
-func (n *ParallelNest) exchangeNestHalo(r *mpi.Rank, dist geom.BlockDist, blk geom.Rect, f *field.Field) *field.Field {
+// sub-grid for fine substep number sub, which keys the message tags
+// (sub*16 + direction) so consecutive substeps never share a stream.
+func (n *ParallelNest) exchangeNestHalo(r *mpi.Rank, sub int, dist geom.BlockDist, blk geom.Rect, f *field.Field) *field.Field {
 	rid := r.ID()
 	me := n.pg.Coord(rid)
 	// Reuse the rank's extended buffer; zero it first so cells no strip
@@ -192,22 +208,9 @@ func (n *ParallelNest) exchangeNestHalo(r *mpi.Rank, dist geom.BlockDist, blk ge
 	}
 	ext.SetSub(geom.NewRect(haloWidth, haloWidth, blk.Width(), blk.Height()), f)
 
-	type nb struct{ dx, dy int }
-	neighbours := make([]nb, 0, 8)
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			p := geom.Point{X: me.X + dx, Y: me.Y + dy}
-			if n.procs.Contains(p) {
-				neighbours = append(neighbours, nb{dx, dy})
-			}
-		}
-	}
 	// Rank.Send copies payloads, so one staging buffer per rank serves
 	// every neighbour in turn.
-	for _, nbr := range neighbours {
+	for _, nbr := range n.nbrs[rid] {
 		strip := stripOf(blk, nbr.dx, nbr.dy)
 		payload := n.sendBuf[rid][:0]
 		strip.Cells(func(p geom.Point) {
@@ -215,13 +218,13 @@ func (n *ParallelNest) exchangeNestHalo(r *mpi.Rank, dist geom.BlockDist, blk ge
 		})
 		n.sendBuf[rid] = payload
 		to := n.pg.Rank(geom.Point{X: me.X + nbr.dx, Y: me.Y + nbr.dy})
-		r.Send(to, n.steps*16+tag(nbr.dx, nbr.dy), payload)
+		r.Send(to, sub*16+tag(nbr.dx, nbr.dy), payload)
 	}
-	for _, nbr := range neighbours {
+	for _, nbr := range n.nbrs[rid] {
 		from := geom.Point{X: me.X + nbr.dx, Y: me.Y + nbr.dy}
 		// RecvInto reuses the rank's staging buffer and recycles the
 		// transport buffer, keeping the steady-state exchange allocation-free.
-		payload := r.RecvInto(n.pg.Rank(from), n.steps*16+tag(-nbr.dx, -nbr.dy), n.recvBuf[rid])
+		payload := r.RecvInto(n.pg.Rank(from), sub*16+tag(-nbr.dx, -nbr.dy), n.recvBuf[rid])
 		n.recvBuf[rid] = payload
 		theirBlk := dist.BlockOf(from)
 		strip := stripOf(theirBlk, -nbr.dx, -nbr.dy)
@@ -361,8 +364,7 @@ func (n *ParallelNest) Redistribute(w *mpi.World, newProcs geom.Rect) (float64, 
 	if runErr != nil {
 		return 0, runErr
 	}
-	n.procs = newProcs
-	n.local = newLocal
+	n.setLayout(newProcs, newLocal)
 	if tr != nil {
 		// Remote payload of the executed exchange: every old-block/new-block
 		// intersection whose owner changed, at 8 bytes per float64 sample.
